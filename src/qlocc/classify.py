@@ -22,11 +22,11 @@ State indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import codec
 from .entanglement import (
     CONCURRENCE_ZERO_TOL,
     SeparabilityCertificate,
@@ -34,7 +34,8 @@ from .entanglement import (
     pair_projector,
     separability_certificate,
 )
-from .states import BipartiteKet, FamilyParams, OrthonormalBasis, coefficient_matrix
+from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, coefficient_matrix,
+                     complement_pair)
 
 ANTIPARALLEL_IM_TOL = 1e-8
 DUAN_SUM_TOL = 1e-9
@@ -56,11 +57,6 @@ ASSUMPTION_SEP_ELIMINATION = (
 
 class DegenerateFamilyError(ValueError):
     """alpha or beta sits at 0 or pi/2 where the region ratios are undefined."""
-
-
-def complement_pair(i: int, j: int) -> tuple[int, int]:
-    k, l = sorted(set(range(4)) - {i, j})
-    return k, l
 
 
 @dataclass(frozen=True)
@@ -167,30 +163,26 @@ def _duan_detail(states3, complement: BipartiteKet):
     """Check SEP-distinguishability of three orthogonal states whose
     orthocomplement is ``complement``.
 
-    Returns (ok, sum_residual, worst_ratio_im): the concurrence-sum residual
-    and the worst imaginary part of the eigenvalue ratios are exposed for
-    boundary reporting.
+    Returns (ok, concurrence-sum residual); the residual feeds boundary warnings.
     """
     cons = [concurrence(k) for k in states3]
     c_phi = concurrence(complement)
     if c_phi < CONCURRENCE_ZERO_TOL:
         # singular complement: the sum condition forces all three product
         ok = all(c < CONCURRENCE_ZERO_TOL for c in cons)
-        return ok, sum(cons) - c_phi, 0.0
+        return ok, sum(cons) - c_phi
     phi_inv = np.linalg.inv(coefficient_matrix(complement))
     anti_ok = True
-    worst_im = 0.0
     for k, c in zip(states3, cons):
         if c < CONCURRENCE_ZERO_TOL:
             continue
         lam = np.linalg.eigvals(coefficient_matrix(k) @ phi_inv)
         lam = sorted(lam, key=abs)
         ratio = lam[0] / lam[1]
-        worst_im = max(worst_im, abs(ratio.imag))
         if not (abs(ratio.imag) < ANTIPARALLEL_IM_TOL and ratio.real < 0.0):
             anti_ok = False
     residual = sum(cons) - c_phi
-    return anti_ok and abs(residual) < DUAN_SUM_TOL, residual, worst_im
+    return anti_ok and abs(residual) < DUAN_SUM_TOL, residual
 
 
 def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
@@ -201,8 +193,7 @@ def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
     states = tuple(states)
     if len(states) != 3:
         raise ValueError("expected exactly 3 states")
-    ok, _, _ = _duan_detail(states, complement)
-    return ok
+    return _duan_detail(states, complement)[0]
 
 
 def _sep_decision(b: OrthonormalBasis, cons, certs, locc: LoccCategory):
@@ -215,7 +206,7 @@ def _sep_decision(b: OrthonormalBasis, cons, certs, locc: LoccCategory):
         return 2, SepWitness("pair_split", pair=witness), (), warnings
     for l in range(4):
         triple = [b[k] for k in range(4) if k != l]
-        ok, residual, _ = _duan_detail(triple, b[l])
+        ok, residual = _duan_detail(triple, b[l])
         if DUAN_SUM_TOL <= abs(residual) < NEAR_FACTOR * DUAN_SUM_TOL:
             warnings.append(
                 f"concurrence-sum residual {residual:.3e} for elimination of "
@@ -232,11 +223,7 @@ def _sep_decision(b: OrthonormalBasis, cons, certs, locc: LoccCategory):
 def min_copies_adaptive_sep(b: OrthonormalBasis) -> int:
     """Minimum copies for perfect discrimination under adaptive separable
     operations (1, 2 or 3); never exceeds the LOCC count."""
-    cons = _concurrences(b)
-    certs = _certificates(b)
-    cat = _locc_category(cons, lambda: certs)
-    value, _, _, _ = _sep_decision(b, cons, certs, cat)
-    return value
+    return analyze(b).min_copies_sep
 
 
 def region(p: FamilyParams) -> Region:
@@ -293,18 +280,15 @@ def _boundary_warnings(cons, certs, p: FamilyParams | None) -> list[str]:
                 f"({i},{j}) is within 10x of the separability threshold"
             )
     if p is not None:
-        try:
-            s2a, s2b = math.sin(2 * p.alpha), math.sin(2 * p.beta)
-            if min(s2a, s2b) >= 1e-12:
-                t = math.tan(p.gamma) ** 2
-                for r in (s2b / s2a, s2a / s2b):
-                    if REGION_BOUNDARY_TOL <= abs(t - r) < NEAR_FACTOR * REGION_BOUNDARY_TOL:
-                        out.append(
-                            f"tan^2(gamma) is within 10x of a region boundary "
-                            f"(|t - r| = {abs(t - r):.3e})"
-                        )
-        except ValueError:
-            pass
+        s2a, s2b = math.sin(2 * p.alpha), math.sin(2 * p.beta)
+        if min(s2a, s2b) >= 1e-12:
+            t = math.tan(p.gamma) ** 2
+            for r in (s2b / s2a, s2a / s2b):
+                if REGION_BOUNDARY_TOL <= abs(t - r) < NEAR_FACTOR * REGION_BOUNDARY_TOL:
+                    out.append(
+                        f"tan^2(gamma) is within 10x of a region boundary "
+                        f"(|t - r| = {abs(t - r):.3e})"
+                    )
     return out
 
 
@@ -363,12 +347,7 @@ def report_to_dict(r: ClassificationReport) -> dict:
         "region": None if r.region is None else
             {"name": r.region.name, "which": r.region.which},
         "certificates": [
-            {
-                "pair": list(pair),
-                "min_pt_eigenvalue": cert.min_pt_eigenvalue,
-                "is_separable": cert.is_separable,
-                "tolerance": cert.tolerance,
-            }
+            {"pair": list(pair), **asdict(cert)}
             for pair, cert in r.certificates
         ],
         "params": None if r.params is None else {
@@ -382,4 +361,4 @@ def report_to_dict(r: ClassificationReport) -> dict:
 
 
 def report_to_json(r: ClassificationReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2)
+    return codec.dump(report_to_dict(r))

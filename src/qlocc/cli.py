@@ -8,17 +8,16 @@ significant digits so repeated runs are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from . import codec
 from .classify import (
     DegenerateFamilyError,
     FamilyParams,
-    PAIRS,
     analyze,
     region,
     report_to_json,
@@ -103,47 +102,29 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _scan_row_family_a(al: float, be: float, ga: float) -> dict[str, str]:
-    p = FamilyParams(alpha=al, beta=be, gamma=ga)
-    rep = analyze(a_basis(p))
-    try:
-        reg = region(p)
-        reg_text = reg.name if reg.which is None else f"{reg.name}:{reg.which}"
-    except DegenerateFamilyError:
-        reg_text = "degenerate"
-    e = pt_spectrum_p12_closed(al, be)
-    row = {
-        "family": "A", "theta": "",
-        "alpha": _fmt(al), "beta": _fmt(be), "gamma": _fmt(ga),
-        "region": reg_text,
-        "entangled_count": str(rep.entangled_count),
-        "min_copies_locc": str(rep.min_copies_locc),
-        "min_copies_sep": str(rep.min_copies_sep),
-    }
-    for k in range(4):
-        row[f"c{k + 1}"] = _fmt(rep.concurrences[k])
-        row[f"e{k + 1}_p12"] = _fmt(float(e[k]))
+def _scan_row(family: str, p: FamilyParams) -> dict[str, str]:
+    """One CSV row; columns that do not apply to the family stay empty."""
+    row = dict.fromkeys(SCAN_COLUMNS, "")
+    row["family"] = family
+    if family == "A":
+        rep = analyze(a_basis(p))
+        try:
+            reg = region(p)
+            row["region"] = reg.name if reg.which is None else f"{reg.name}:{reg.which}"
+        except DegenerateFamilyError:
+            row["region"] = "degenerate"
+        row.update(alpha=_fmt(p.alpha), beta=_fmt(p.beta), gamma=_fmt(p.gamma))
+        for k, e in enumerate(pt_spectrum_p12_closed(p.alpha, p.beta)):
+            row[f"e{k + 1}_p12"] = _fmt(float(e))
+    else:
+        rep = analyze(theta_basis(p.theta))
+        row["theta"] = _fmt(p.theta)
+    for k, c in enumerate(rep.concurrences):
+        row[f"c{k + 1}"] = _fmt(c)
     for (i, j), cert in rep.certificates:
         row[f"min_pt_{i}{j}"] = _fmt(cert.min_pt_eigenvalue)
-    return row
-
-
-def _scan_row_family_theta(th: float) -> dict[str, str]:
-    rep = analyze(theta_basis(th))
-    row = {
-        "family": "theta", "theta": _fmt(th),
-        "alpha": "", "beta": "", "gamma": "", "region": "",
-        "entangled_count": str(rep.entangled_count),
-        "min_copies_locc": str(rep.min_copies_locc),
-        "min_copies_sep": str(rep.min_copies_sep),
-    }
-    for k in range(4):
-        row[f"c{k + 1}"] = _fmt(rep.concurrences[k])
-        row[f"e{k + 1}_p12"] = ""
-    for i, j in PAIRS:
-        row[f"min_pt_{i}{j}"] = _fmt(
-            dict(rep.certificates)[(i, j)].min_pt_eigenvalue
-        )
+    row.update(entangled_count=str(rep.entangled_count),
+               min_copies_locc=str(rep.min_copies_locc), min_copies_sep=str(rep.min_copies_sep))
     return row
 
 
@@ -162,12 +143,12 @@ def cmd_scan(args) -> int:
         for al in _parse_range(args.alpha, args.degrees):
             for be in _parse_range(args.beta, args.degrees):
                 for ga in _parse_range(args.gamma, args.degrees):
-                    rows.append(_scan_row_family_a(al, be, ga))
+                    rows.append(_scan_row("A", FamilyParams(alpha=al, beta=be, gamma=ga)))
     elif args.family == "theta":
         if args.theta is None:
             raise ValueError("family theta scans need --theta")
         for th in _parse_range(args.theta, args.degrees):
-            rows.append(_scan_row_family_theta(th))
+            rows.append(_scan_row("theta", FamilyParams(theta=th)))
     else:
         raise ValueError("scan needs --family {A,theta}")
     lines = [
@@ -240,7 +221,7 @@ def cmd_simulate(args) -> int:
     if args.protocol_out:
         with open(args.protocol_out, "w", encoding="utf-8") as fh:
             fh.write(protocol_to_json(tree))
-    print(json.dumps(doc, indent=2))
+    print(codec.dump(doc))
     return 0
 
 
@@ -254,12 +235,12 @@ def cmd_secret_share(args) -> int:
         with open(args.shares_file, "r", encoding="utf-8") as fh:
             share, basis = share_set_from_json(fh.read())
         decoded = decode_full_collaboration(share, basis)
-        print(json.dumps({
+        print(codec.dump({
             "schema": "shares.v1",
             "kind": "decode_result",
             "decoded_message": decoded,
             "matches_encoded": decoded == share.message,
-        }, indent=2))
+        }))
         return 0
     if args.action == "strong-pair":
         basis, _ = _basis_from_args(args)
@@ -339,7 +320,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

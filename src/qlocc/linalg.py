@@ -48,10 +48,6 @@ def tensor(a, b, *, validate: bool = True) -> np.ndarray:
     return np.kron(a, b)
 
 
-def dag(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def outer(v) -> np.ndarray:
     """Projector |v><v|."""
     v = np.asarray(v, dtype=complex)

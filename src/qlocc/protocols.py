@@ -17,17 +17,18 @@ closed form below.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .linalg import as_complex_vector, normalize, orthogonal_complement_qubit
-from .states import BipartiteKet, OrthonormalBasis, theta_basis
+from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 
 ORTHILITY_ATOL = 1e-10
 VANISH_TOL = 1e-9  # conditional branch weight below which a state never lands there
+MAX_PROTOCOL_DEPTH = 64  # protocol.v1 nesting limit; the tournament is 9 deep
 
 
 class NotOrthogonalError(ValueError):
@@ -52,7 +53,7 @@ class LocalMeasurement:
         b1 = as_complex_vector(self.basis[1], 2)
         g = np.array([[np.vdot(b0, b0), np.vdot(b0, b1)],
                       [np.vdot(b1, b0), np.vdot(b1, b1)]])
-        if np.max(np.abs(g - np.eye(2))) > 1e-10:
+        if not np.max(np.abs(g - np.eye(2))) <= 1e-10:  # NaN fails too
             raise ValueError("measurement basis is not orthonormal")
         b0.setflags(write=False)
         b1.setflags(write=False)
@@ -149,36 +150,14 @@ def _isotropic_unit(m: np.ndarray) -> np.ndarray:
     return np.array([math.cos(t), np.exp(1j * phi) * math.sin(t)], dtype=complex)
 
 
-def _refine_isotropic(m: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    # grid-zoom fallback; the closed form is exact so this is a guard rail
-    def vec(t, phi):
-        return np.array([math.cos(t), np.exp(1j * phi) * math.sin(t)], dtype=complex)
-
-    def residual(t, phi):
-        u = vec(t, phi)
-        return abs(u.conj() @ m @ u)
-
-    best_t = math.acos(min(1.0, abs(u0[0])))
-    best_phi = float(np.angle(u0[1])) if abs(u0[1]) > 1e-15 else 0.0
-    span_t, span_phi = math.pi / 2, math.pi
-    for _ in range(8):
-        ts = np.linspace(best_t - span_t, best_t + span_t, 41)
-        ps = np.linspace(best_phi - span_phi, best_phi + span_phi, 41)
-        grid = np.array([[residual(t, p) for p in ps] for t in ts])
-        it, ip = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        best_t, best_phi = float(ts[it]), float(ps[ip])
-        span_t /= 8.0
-        span_phi /= 8.0
-        if grid[it, ip] < 1e-13:
-            break
-    return vec(best_t, best_phi)
-
-
 def _alice_vector(m: np.ndarray) -> np.ndarray:
+    # tr m is the pair's overlap (accepted up to ORTHILITY_ATOL); the closed form then
+    # misses by |tr m| sin^2 t, which Bob's snap absorbs.  Written so NaN fails.
     scale = max(1.0, float(np.abs(m).max()))
     u = _isotropic_unit(m)
-    if abs(u.conj() @ m @ u) > 1e-12 * scale:
-        u = _refine_isotropic(m, u)
+    residual = abs(u.conj() @ m @ u)
+    if not residual <= 1e-12 * scale + abs(np.trace(m)):
+        raise np.linalg.LinAlgError(f"Alice vector misses u^dag K u = 0 by {residual:.3e}")
     return u
 
 
@@ -287,8 +266,7 @@ def bell_grouping_protocol(theta: float) -> ProtocolTree:
                 vecs[i], vecs[j], 1,
                 lambda winner, i=i, j=j: Conclude(i if winner == "psi" else j),
             )
-        out = set(range(4)) - set(group)
-        k, l = sorted(out)
+        k, l = complement_pair(*group)
         return Eliminate(k, Eliminate(l, second[group]))
 
     def bob(x: int) -> Node:
@@ -411,41 +389,41 @@ def _node_to_dict(node: Node) -> dict:
         "kind": "measure",
         "copy": node.copy_index,
         "party": node.measurement.party,
-        "basis": [[[float(c.real), float(c.imag)] for c in v]
-                  for v in node.measurement.basis],
+        "basis": codec.complex_pairs(node.measurement.basis),
         "children": [_node_to_dict(c) for c in node.children],
     }
 
 
 def protocol_to_json(t: ProtocolTree) -> str:
-    return json.dumps(
-        {"schema": "protocol.v1", "copies": t.copies, "root": _node_to_dict(t.root)},
-        indent=2,
-    )
+    doc = {"schema": "protocol.v1", "copies": t.copies, "root": _node_to_dict(t.root)}
+    return codec.dump(doc)
 
 
-def _node_from_dict(doc: dict) -> Node:
-    kind = doc["kind"]
+def _node_from_dict(doc: dict, path: str, depth: int) -> Node:
+    if depth > MAX_PROTOCOL_DEPTH:
+        raise ValueError(f"{path}: nesting deeper than {MAX_PROTOCOL_DEPTH} nodes")
+    kind = codec.field(doc, "kind", str, path)
     if kind == "conclude":
-        return Conclude(int(doc["index"]))
+        return Conclude(codec.field(doc, "index", int, path))
     if kind == "eliminate":
-        return Eliminate(int(doc["index"]), _node_from_dict(doc["child"]))
+        child = codec.field(doc, "child", dict, path)
+        return Eliminate(codec.field(doc, "index", int, path),
+                         _node_from_dict(child, f"{path}.child", depth + 1))
     if kind == "measure":
-        basis = tuple(
-            np.array([complex(re, im) for re, im in v]) for v in doc["basis"]
-        )
+        basis = codec.complex_array(doc, "basis", (2, 2), path)
+        children = codec.items(doc, "children", dict, path, length=2)
         return Measure(
-            int(doc["copy"]),
-            LocalMeasurement(doc["party"], basis),  # type: ignore[arg-type]
-            tuple(_node_from_dict(c) for c in doc["children"]),  # type: ignore[arg-type]
+            codec.field(doc, "copy", int, path),
+            LocalMeasurement(codec.field(doc, "party", str, path), tuple(basis)),
+            tuple(_node_from_dict(c, f"{path}.children[{n}]", depth + 1)  # type: ignore[arg-type]
+                  for n, c in enumerate(children)),
         )
-    raise ValueError(f"unknown node kind {kind!r}")
+    raise ValueError(f"{path}.kind: unknown node kind {kind!r}")
 
 
 def protocol_from_json(text: str) -> ProtocolTree:
-    doc = json.loads(text)
-    if doc.get("schema") != "protocol.v1":
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    t = ProtocolTree(copies=int(doc["copies"]), root=_node_from_dict(doc["root"]))
+    doc = codec.load(text, "protocol.v1")
+    root = _node_from_dict(codec.field(doc, "root", dict), "root", 0)
+    t = ProtocolTree(copies=codec.field(doc, "copies", int), root=root)
     validate_tree(t)
     return t

@@ -15,17 +15,18 @@ Two constructions:
 
 from __future__ import annotations
 
-import json
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import codec
 from .classify import min_copies_adaptive_locc
 from .entanglement import SeparabilityCertificate, pair_projector, separability_certificate
 from .linalg import hermitian_eigenvalues, outer
 from .protocols import elimination_tournament, outcome_distribution
-from .states import BipartiteKet, OrthonormalBasis, basis_to_json
+from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
+                     complement_pair)
 
 PARTY_ASSIGNMENT = ("A1", "B1", "A2", "B2", "A3", "B3")
 
@@ -126,7 +127,7 @@ def strong_pair_shares(
         raise ValueError("the two encoding states must differ")
     if not (0.0 < lam < 1.0) or not (0.0 < mu < 1.0):
         raise ValueError("lambda and mu must lie strictly inside (0, 1)")
-    k, l = sorted(set(range(4)) - {i, j})
+    k, l = complement_pair(i, j)
     sigma = lam * outer(b[i].amplitudes) + (1 - lam) * outer(b[j].amplitudes)
     sigma_perp = mu * outer(b[k].amplitudes) + (1 - mu) * outer(b[l].amplitudes)
     share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=lam, mu=mu)
@@ -150,55 +151,32 @@ def mixed_share_eigenvalues(m: MixedShare) -> tuple[np.ndarray, np.ndarray]:
 
 # --- shares.v1 serialization ---------------------------------------------------
 
-def _complex_matrix(m: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
-
-
 def share_set_to_json(s: ShareSet, b: OrthonormalBasis) -> str:
     doc = {
         "schema": "shares.v1",
         "kind": "share_set",
         "message": s.message,
         "party_assignment": list(s.party_assignment),
-        "copies": [
-            [[float(c.real), float(c.imag)] for c in k.amplitudes] for k in s.copies
-        ],
-        "basis": json.loads(basis_to_json(b)),
+        "copies": codec.complex_pairs([k.amplitudes for k in s.copies]),
+        "basis": basis_to_dict(b),
         "security_warning": s.security_warning,
     }
-    return json.dumps(doc, indent=2)
+    return codec.dump(doc)
 
 
 def share_set_from_json(text: str):
-    from .states import basis_from_json
-
-    doc = json.loads(text)
-    if doc.get("schema") != "shares.v1" or doc.get("kind") != "share_set":
-        raise ValueError("not a shares.v1 share_set document")
-    copies = tuple(
-        BipartiteKet(np.array([complex(re, im) for re, im in amps]))
-        for amps in doc["copies"]
-    )
-    if len(copies) != 3:
-        raise ValueError("a share set carries exactly 3 copies")
+    doc = codec.load(text, "shares.v1", "share_set")
+    copies = codec.complex_array(doc, "copies", (3, 4))
     share = ShareSet(
-        message=int(doc["message"]),
-        copies=copies,  # type: ignore[arg-type]
-        party_assignment=tuple(doc["party_assignment"]),
-        security_warning=doc.get("security_warning"),
+        message=codec.field(doc, "message", int),
+        copies=tuple(BipartiteKet(v) for v in copies),  # type: ignore[arg-type]
+        party_assignment=tuple(codec.items(doc, "party_assignment", str)),
+        security_warning=codec.field(doc, "security_warning", (str, type(None)), default=None),
     )
-    basis = basis_from_json(json.dumps(doc["basis"]))
-    return share, basis
+    return share, basis_from_dict(codec.field(doc, "basis", dict), path="basis")
 
 
 def strong_pair_to_json(s: StrongPairShares) -> str:
-    def cert(c: SeparabilityCertificate) -> dict:
-        return {
-            "min_pt_eigenvalue": c.min_pt_eigenvalue,
-            "is_separable": c.is_separable,
-            "tolerance": c.tolerance,
-        }
-
     doc = {
         "schema": "shares.v1",
         "kind": "strong_pair",
@@ -206,13 +184,13 @@ def strong_pair_to_json(s: StrongPairShares) -> str:
         "complement": list(s.complement),
         "lambda": s.share.lam,
         "mu": s.share.mu,
-        "sigma": _complex_matrix(s.share.sigma),
-        "sigma_perp": _complex_matrix(s.share.sigma_perp),
+        "sigma": codec.complex_pairs(s.share.sigma),
+        "sigma_perp": codec.complex_pairs(s.share.sigma_perp),
         "certificates": {
-            "pair_projector": cert(s.certificate_pair),
-            "complement_projector": cert(s.certificate_complement),
+            "pair_projector": asdict(s.certificate_pair),
+            "complement_projector": asdict(s.certificate_complement),
             "cross_trace": s.cross_trace,
         },
         "security": "PASS" if s.security_pass else "FAIL",
     }
-    return json.dumps(doc, indent=2)
+    return codec.dump(doc)

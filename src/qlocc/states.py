@@ -19,12 +19,12 @@ Two four-state families are provided:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .linalg import as_complex_vector, canonical_phase
 
 GRAM_ATOL = 1e-10
@@ -142,6 +142,11 @@ def validate_basis(kets, label: str = "custom") -> OrthonormalBasis:
     return OrthonormalBasis(states=kets, label=label)
 
 
+def complement_pair(i: int, j: int) -> tuple[int, int]:
+    k, l = sorted(set(range(4)) - {i, j})
+    return k, l
+
+
 def _theta_vectors(theta: float) -> list[np.ndarray]:
     s, c = math.sin(theta), math.cos(theta)
     return [
@@ -189,37 +194,23 @@ def coefficient_matrix(k: BipartiteKet) -> np.ndarray:
     return math.sqrt(2.0) * k.amplitudes.reshape(2, 2).T
 
 
-def ket_from_coefficient_matrix(m) -> np.ndarray:
-    """Inverse of coefficient_matrix, returned as a raw amplitude vector."""
-    m = np.asarray(m, dtype=complex)
-    return (m.T / math.sqrt(2.0)).reshape(4)
-
-
 # --- basis.v1 serialization -------------------------------------------------
 
-def _complex_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in v]
+def basis_to_dict(b: OrthonormalBasis) -> dict:
+    return {"schema": "basis.v1", "label": b.label, "states": codec.complex_pairs(b.matrix())}
+
+
+def basis_from_dict(doc, path: str = "") -> OrthonormalBasis:
+    """Decode a basis.v1 object found at ``path`` in its document."""
+    doc = codec.envelope(doc, "basis.v1", path=path)
+    states = codec.complex_array(doc, "states", (4, 4), path)
+    label = codec.field(doc, "label", str, path, default="from-file")
+    return validate_basis([BipartiteKet(v) for v in states], label=label)
 
 
 def basis_to_json(b: OrthonormalBasis) -> str:
-    doc = {
-        "schema": "basis.v1",
-        "label": b.label,
-        "states": [_complex_pairs(k.amplitudes) for k in b.states],
-    }
-    return json.dumps(doc, indent=2)
+    return codec.dump(basis_to_dict(b))
 
 
 def basis_from_json(text: str) -> OrthonormalBasis:
-    doc = json.loads(text)
-    if doc.get("schema") != "basis.v1":
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    states = doc["states"]
-    if not isinstance(states, list) or len(states) != 4:
-        raise ValueError("basis.v1 requires exactly 4 states")
-    kets = []
-    for amps in states:
-        if len(amps) != 4:
-            raise ValueError("each state needs 4 complex amplitude pairs")
-        kets.append(BipartiteKet(np.array([complex(re, im) for re, im in amps])))
-    return validate_basis(kets, label=str(doc.get("label", "from-file")))
+    return basis_from_dict(codec.load(text, "basis.v1"))

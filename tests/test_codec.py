@@ -1,0 +1,187 @@
+"""The file boundary: malformed basis.v1, shares.v1 and protocol.v1 documents
+are rejected with a ValueError naming the JSON path, and the CLI exits 2."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlocc import (
+    FamilyParams,
+    ShareSet,
+    a_basis,
+    basis_to_json,
+    protocol_from_json,
+    protocol_to_json,
+    walgate_pair_protocol,
+)
+from qlocc.cli import main
+from qlocc.protocols import MAX_PROTOCOL_DEPTH
+from qlocc.secretshare import share_set_to_json
+from qlocc.states import GRAM_ATOL
+
+BASIS = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
+BASIS_DOC = json.loads(basis_to_json(BASIS))
+SHARES_DOC = json.loads(share_set_to_json(ShareSet(message=2, copies=(BASIS[2],) * 3), BASIS))
+PROTOCOL_DOC = json.loads(protocol_to_json(walgate_pair_protocol(BASIS[0], BASIS[1])))
+
+
+def _with(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` replaced (or deleted when
+    ``value`` is ``...``)."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is ...:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+def _eliminate_chain(depth):
+    """protocol.v1 text whose root is ``depth`` nested eliminate nodes; built
+    as text because json cannot encode nesting this deep."""
+    return ('{"schema": "protocol.v1", "copies": 1, "root": '
+            + '{"kind": "eliminate", "index": 1, "child": ' * depth
+            + '{"kind": "conclude", "index": 0}' + "}" * (depth + 1))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+MALFORMED_FILES = [
+    ("analyze", {"schema": "basis.v1", "states": [1, 2, 3, 4]}, "states[0]"),
+    ("analyze", [BASIS_DOC], "top level"),
+    ("analyze", _with(BASIS_DOC, ("states", 1, 2), [1, 0, 0]), "states[1][2]"),
+    ("analyze", _with(BASIS_DOC, ("states",), ...), "states"),
+    ("analyze", _with(BASIS_DOC, ("states", 0, 3, 1), float("nan")), "states[0][3][1]"),
+    ("analyze", _with(BASIS_DOC, ("schema",), "basis.v2"), "schema"),
+    ("decode", _with(SHARES_DOC, ("copies",), 5), "copies"),
+    ("decode", _with(SHARES_DOC, ("basis",), 3), "basis"),
+    ("decode", _with(SHARES_DOC, ("basis", "states", 2), "x"), "basis.states[2]"),
+    ("decode", _with(SHARES_DOC, ("message",), "2"), "message"),
+]
+
+
+@pytest.mark.parametrize("command,doc,path", MALFORMED_FILES)
+def test_malformed_file_exits_2_naming_the_path(tmp_path, command, doc, path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    if command == "analyze":
+        argv = ["analyze", "--basis-file", str(f)]
+    else:
+        argv = ["secret-share", "decode", "--shares-file", str(f)]
+    code, err = _run(argv)
+    assert code == 2
+    assert f"error: {path}:" in err
+    assert "Traceback" not in err
+
+
+OVERFLOWING_BASIS = [[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]  # its Gram matrix is NaN
+
+
+@pytest.mark.parametrize("text,prefix", [
+    (json.dumps(_with(PROTOCOL_DOC, ("root", "basis"), 3)), "root.basis"),
+    (json.dumps(_with(PROTOCOL_DOC, ("root",), "x")), "root"),
+    (json.dumps([PROTOCOL_DOC]), "top level"),
+    (_eliminate_chain(5000), "top level"),
+    (_eliminate_chain(MAX_PROTOCOL_DEPTH + 1), r"root\.child"),
+    (json.dumps(_with(PROTOCOL_DOC, ("root", "basis"), OVERFLOWING_BASIS)),
+     "measurement basis is not orthonormal"),
+], ids=["number-basis", "string-root", "top-level-list", "5000-deep", "too-deep",
+        "overflowing-basis"])
+def test_malformed_protocol_raises_value_error(text, prefix):
+    with pytest.raises(ValueError, match=f"^{prefix}"):
+        protocol_from_json(text)
+
+
+def test_decode_accepts_basis_within_gram_tolerance(tmp_path):
+    # amplitudes rounded to 10 digits leave overlaps of a few 1e-11, inside
+    # GRAM_ATOL; the pair subroutine must still build the decoding protocol
+    doc = copy.deepcopy(SHARES_DOC)
+    doc["basis"]["states"] = [[[round(x, 10) for x in pair] for pair in state]
+                              for state in doc["basis"]["states"]]
+    v = np.array([[complex(*pair) for pair in state] for state in doc["basis"]["states"]])
+    assert 1e-11 < np.max(np.abs(v.conj() @ v.T - np.eye(4))) < GRAM_ATOL
+    f = tmp_path / "shares.json"
+    f.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["secret-share", "decode", "--shares-file", str(f)]) == 0
+    result = json.loads(out.getvalue())
+    assert result["decoded_message"] == 2 and result["matches_encoded"] is True
+
+
+def test_protocol_at_the_depth_limit_decodes():
+    assert protocol_from_json(_eliminate_chain(MAX_PROTOCOL_DEPTH)).copies == 1
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every (key or index) path into ``doc`` below the top level."""
+    if isinstance(doc, dict):
+        entries = doc.items()
+    elif isinstance(doc, list):
+        entries = enumerate(doc)
+    else:
+        return
+    for key, value in entries:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _documents(valid):
+    """Text of ``valid`` with one entry replaced by an arbitrary JSON value
+    or deleted, of an arbitrary JSON value, or arbitrary text."""
+    mutated = st.builds(_with, st.just(valid), st.sampled_from(list(_paths(valid))),
+                        JSON_VALUES | st.just(...))
+    return (mutated | JSON_VALUES).map(json.dumps) | st.text(max_size=40)
+
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+
+@FUZZ
+@given(text=_documents(BASIS_DOC))
+def test_fuzz_basis_file_exits_0_or_2(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "fuzz_basis.json"
+    f.write_text(text)
+    assert _run(["analyze", "--basis-file", str(f)])[0] in (0, 2)
+
+
+@FUZZ
+@given(text=_documents(SHARES_DOC))
+def test_fuzz_shares_file_exits_0_or_2(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "fuzz_shares.json"
+    f.write_text(text)
+    assert _run(["secret-share", "decode", "--shares-file", str(f)])[0] in (0, 2)
+
+
+@FUZZ
+@given(text=_documents(PROTOCOL_DOC))
+def test_fuzz_protocol_raises_only_value_error(text):
+    try:
+        protocol_from_json(text)
+    except ValueError:
+        pass

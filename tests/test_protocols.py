@@ -22,6 +22,7 @@ from qlocc import (
     walgate_pair_protocol,
 )
 from qlocc.protocols import (
+    ORTHILITY_ATOL,
     Conclude,
     Measure,
     ProtocolTree,
@@ -29,7 +30,14 @@ from qlocc.protocols import (
     transcript_to_csv,
     validate_tree,
 )
-from conftest import conditional_bob_states, random_basis, random_orthogonal_pair
+from conftest import (
+    conditional_bob_states,
+    haar_unitary,
+    random_basis,
+    random_orthogonal_pair,
+    random_qubit,
+)
+from qlocc.linalg import orthogonal_complement_qubit
 
 PI_4 = math.pi / 4
 
@@ -298,3 +306,67 @@ def test_protocol_json_roundtrip_preserves_behaviour():
 def test_protocol_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         protocol_from_json('{"schema": "protocol.v2", "copies": 1, "root": {}}')
+
+
+# --- closed-form Alice vector on adversarial pairs ------------------------------
+
+def _pair_from_k(rng, k):
+    """Entangled psi and the phi with A_phi A_psi^dag proportional to the
+    traceless k, so the pair subroutine solves u^dag k u = 0."""
+    psi = BipartiteKet(haar_unitary(rng)[:, 0])
+    a_phi = k @ np.linalg.inv(psi.amplitudes.reshape(2, 2).conj().T)
+    return psi, BipartiteKet.from_unnormalized(a_phi.reshape(4))
+
+
+def _adversarial_pairs():
+    rng = np.random.default_rng(7)
+    pairs = []
+    for m00 in (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8):
+        for _ in range(40):
+            off = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            phase = np.exp(2j * math.pi * rng.random())
+            pairs.append(_pair_from_k(rng, np.array([[m00 * phase, off[0]],
+                                                     [off[1], -m00 * phase]])))
+    for _ in range(40):  # rank-1 (nilpotent) K, and the exact [[0, 1], [0, 0]]
+        x = random_qubit(rng)
+        pairs.append(_pair_from_k(rng, np.outer(x, orthogonal_complement_qubit(x).conj())))
+    pairs.append(_pair_from_k(rng, np.array([[0, 1], [0, 0]], dtype=complex)))
+    for _ in range(40):  # product pairs, told apart by Alice or by Bob alone
+        a, b, c = random_qubit(rng), random_qubit(rng), random_qubit(rng)
+        a_perp, b_perp = orthogonal_complement_qubit(a), orthogonal_complement_qubit(b)
+        pairs.append((BipartiteKet(np.kron(a, b)), BipartiteKet(np.kron(a_perp, c))))
+        pairs.append((BipartiteKet(np.kron(a, b)), BipartiteKet(np.kron(a, b_perp))))
+    return pairs
+
+
+def test_walgate_adversarial_pairs_closed_form():
+    worst_overlap = 0.0
+    worst_success = 1.0
+    for psi, phi in _adversarial_pairs():
+        tree = walgate_pair_protocol(psi, phi)  # raises if the closed form misses
+        worst_overlap = max(worst_overlap, _max_conditional_overlap(tree, psi, phi))
+        worst_success = min(worst_success,
+                            outcome_distribution(tree, psi.amplitudes)[0],
+                            outcome_distribution(tree, phi.amplitudes)[1])
+    assert worst_overlap < 1e-10
+    assert worst_success > 1.0 - 1e-9
+
+
+def test_walgate_accepts_pairs_overlapping_within_tolerance():
+    # tr K is the pair's overlap; the closed form then misses u^dag K u = 0
+    # by up to |tr K|, and Bob's snap to exact orthogonality absorbs it
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        psi, phi0 = random_orthogonal_pair(rng)
+        phi = BipartiteKet.from_unnormalized(phi0.amplitudes + 5e-11 * psi.amplitudes)
+        assert 1e-11 < abs(psi.overlap(phi)) < ORTHILITY_ATOL
+        tree = walgate_pair_protocol(psi, phi)
+        assert outcome_distribution(tree, psi.amplitudes)[0] > 1.0 - 1e-9
+        assert outcome_distribution(tree, phi.amplitudes)[1] > 1.0 - 1e-9
+
+
+def test_alice_vector_residual_check_raises_linalg_error():
+    from qlocc.protocols import _alice_vector
+
+    with pytest.raises(np.linalg.LinAlgError):
+        _alice_vector(np.full((2, 2), np.nan, dtype=complex))
