@@ -166,8 +166,6 @@ def cmd_scan(args) -> int:
 
 
 def _wilson_ci95(successes: int, runs: int) -> tuple[float, float]:
-    if runs == 0:
-        return 0.0, 1.0
     z = 1.959963984540054
     phat = successes / runs
     denom = 1.0 + z * z / runs
@@ -177,6 +175,8 @@ def _wilson_ci95(successes: int, runs: int) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be positive")
     if args.protocol == "tournament":
         basis, _ = _basis_from_args(args)
         tree = elimination_tournament(basis, copies=3)
@@ -188,8 +188,6 @@ def cmd_simulate(args) -> int:
         tree = bell_grouping_protocol(theta)
     else:
         raise ValueError(f"unknown protocol {args.protocol!r}")
-    if args.runs < 1:
-        raise ValueError("--runs must be positive")
     exact = exact_success_probability(tree, basis)
     successes = 0
     per_state = [0, 0, 0, 0]

@@ -4,7 +4,8 @@ A protocol is a finite tree over one or more copies of the unknown state.
 Each copy is addressed by at most one projective measurement per party
 (Alice first, then Bob), later measurements branch on earlier outcomes, and
 every leaf names the concluded state.  Trees are executed either by exact
-Born-rule propagation (no sampling) or byseeded Monte Carlo.
+Born-rule evaluation (no sampling) or by seeded Monte Carlo; both read the
+leaf table a tree compiles to once.
 
 The workhorse is the two-orthogonal-state subroutine: any two orthogonal
 bipartite pure states can be distinguished perfectly by one local round.
@@ -17,6 +18,7 @@ closed form below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +88,12 @@ class ProtocolTree:
     copies: int
     root: Node
 
+    @functools.cached_property
+    def leaves(self) -> "LeafTable":
+        """The compiled leaf table; raises MalformedProtocolError.  Trees are
+        frozen and their measurement vectors read-only, so it is built once."""
+        return _compile(self)
+
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -94,18 +102,42 @@ class RunOutcome:
     probability: float  # exact probability of this transcript given the input
 
 
-def validate_tree(t: ProtocolTree) -> None:
-    """Check structural invariants; raises MalformedProtocolError."""
+@dataclass(frozen=True)
+class LeafTable:
+    """Every root-to-leaf path of a tree, in depth-first order (outcome 0 first).
+
+    ``effects[l, c]`` is the 4x4 operator P_A (x) P_B that leaf l's path applies
+    to copy c, the identity standing in for a party that does not measure it.
+    Each party measures a copy at most once per path, so the leaf's Born
+    probability on input psi is prod_c |effects[l, c] psi|^2.  The copy axis
+    covers only copies up to the last one measured; the rest contribute 1.
+    """
+
+    conclusions: np.ndarray  # (L,) concluded state index
+    transcripts: tuple[tuple[tuple[int, str, int], ...], ...]  # (copy, party, outcome)
+    effects: np.ndarray  # (L, C, 4, 4)
+
+    def probabilities(self, kets: np.ndarray) -> np.ndarray:
+        """Leaf probabilities, shape (..., L), for input kets of shape (..., 4)."""
+        amp = np.tensordot(kets, self.effects, axes=(-1, -1))  # (..., L, C, 4)
+        return (np.abs(amp) ** 2).sum(axis=-1).prod(axis=-1)
+
+
+def _compile(t: ProtocolTree) -> LeafTable:
+    """Check the structural invariants and list the leaves in one walk."""
     if t.copies < 1:
         raise MalformedProtocolError("a protocol needs at least one copy")
+    vectors: list[np.ndarray] = []  # projector k + 1 is |vectors[k]><vectors[k]|
+    leaves: list[tuple] = []  # (conclusion, ((copy, party, outcome, projector), ...))
 
-    def walk(node, used: frozenset):
+    def walk(node, used: frozenset, path: tuple):
         if isinstance(node, Conclude):
             if not 0 <= node.state_index < 4:
                 raise MalformedProtocolError(f"conclude index {node.state_index} out of range")
+            leaves.append((node.state_index, path))
             return
         if isinstance(node, Eliminate):
-            walk(node.child, used)
+            walk(node.child, used, path)
             return
         if isinstance(node, Measure):
             if not 0 <= node.copy_index < t.copies:
@@ -119,12 +151,32 @@ def validate_tree(t: ProtocolTree) -> None:
                 )
             if len(node.children) != 2:
                 raise MalformedProtocolError("measure nodes need exactly two children")
-            for child in node.children:
-                walk(child, used | {key})
+            for outcome, child in enumerate(node.children):
+                vectors.append(node.measurement.basis[outcome])
+                walk(child, used | {key}, path + (key + (outcome, len(vectors)),))
             return
         raise MalformedProtocolError(f"unknown node type {type(node).__name__}")
 
-    walk(t.root, frozenset())
+    walk(t.root, frozenset(), ())
+    conclusions, paths = zip(*leaves)
+    transcripts = tuple(tuple(step[:3] for step in path) for path in paths)
+    flat = [(leaf, c, party == "B", k) for leaf, path in enumerate(paths) for c, party, _, k in path]
+    leaf, copy, party, k = np.array(flat, dtype=np.intp).reshape(-1, 4).T
+    index = np.zeros((len(leaves), copy.max(initial=-1) + 1, 2), dtype=np.intp)  # 0: identity
+    index[leaf, copy, party] = k
+    v = np.array(vectors, dtype=complex).reshape(-1, 2)
+    proj = np.concatenate([np.eye(2, dtype=complex)[None], np.einsum("ki,kj->kij", v, v.conj())])
+    effects = np.einsum("lcij,lckm->lcikjm", proj[index[..., 0]], proj[index[..., 1]])
+    effects = effects.reshape(index.shape[:2] + (4, 4))
+    conclusions = np.array(conclusions, dtype=np.intp)
+    for a in (conclusions, effects):
+        a.setflags(write=False)
+    return LeafTable(conclusions, transcripts, effects)
+
+
+def validate_tree(t: ProtocolTree) -> None:
+    """Check structural invariants; raises MalformedProtocolError."""
+    t.leaves
 
 
 # --- the traceless quadratic-form solver -------------------------------------
@@ -281,53 +333,19 @@ def bell_grouping_protocol(theta: float) -> ProtocolTree:
 
 # --- execution ----------------------------------------------------------------
 
-def _project(ket4: np.ndarray, party: str, direction: np.ndarray) -> np.ndarray:
-    """Post-measurement (unnormalized) state after projecting one party onto
-    ``direction``."""
-    c = ket4.reshape(2, 2)
-    if party == "A":
-        w = direction.conj() @ c
-        return np.kron(direction, w)
-    w = c @ direction.conj()
-    return np.kron(w, direction)
-
-
 def outcome_distribution(t: ProtocolTree, initial: np.ndarray) -> np.ndarray:
     """Probability of concluding each index when every copy starts in
-    ``initial`` (a normalized 4-vector); exact Born-rule propagation."""
-    validate_tree(t)
-    dist = np.zeros(4)
-
-    def walk(node, kets, weight):
-        if weight < 1e-30:
-            return
-        if isinstance(node, Conclude):
-            dist[node.state_index] += weight
-            return
-        if isinstance(node, Eliminate):
-            walk(node.child, kets, weight)
-            return
-        basis = node.measurement.basis
-        for x in (0, 1):
-            ket = _project(kets[node.copy_index], node.measurement.party, basis[x])
-            p = float(np.vdot(ket, ket).real)
-            prev = float(np.vdot(kets[node.copy_index], kets[node.copy_index]).real)
-            if p < 1e-30:
-                continue
-            nxt = list(kets)
-            nxt[node.copy_index] = ket
-            walk(node.children[x], nxt, weight * p / prev)
-
-    state = as_complex_vector(initial, 4)
-    walk(t.root, [state] * t.copies, 1.0)
-    return dist
+    ``initial`` (a normalized 4-vector); exact Born-rule evaluation."""
+    table = t.leaves
+    p = table.probabilities(as_complex_vector(initial, 4))
+    return np.bincount(table.conclusions, weights=p, minlength=4)
 
 
 def success_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
     """P(conclude = i | input state i) for each of the four basis states."""
-    return np.array([
-        outcome_distribution(t, k.amplitudes)[i] for i, k in enumerate(b)
-    ])
+    table = t.leaves
+    p = table.probabilities(np.array([k.amplitudes for k in b]))  # (state, leaf)
+    return np.where(table.conclusions == np.arange(4)[:, None], p, 0.0).sum(axis=1)
 
 
 def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis) -> float:
@@ -336,38 +354,19 @@ def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis) -> float:
 
 
 def sample_run(t: ProtocolTree, b: OrthonormalBasis, true_index: int, seed: int) -> RunOutcome:
-    """One Born-rule sampled execution with deterministic seeded randomness."""
+    """One Born-rule sampled execution with deterministic seeded randomness:
+    a single uniform draw picks the leaf."""
     if not 0 <= true_index < 4:
         raise ValueError(f"true_index {true_index} out of range")
-    validate_tree(t)
-    rng = np.random.default_rng(seed)
-    kets = [np.array(b[true_index].amplitudes) for _ in range(t.copies)]
-    transcript: list[tuple[int, str, int]] = []
-    prob = 1.0
-    node = t.root
-    while not isinstance(node, Conclude):
-        if isinstance(node, Eliminate):
-            node = node.child
-            continue
-        meas = node.measurement
-        ket = kets[node.copy_index]
-        k0 = _project(ket, meas.party, meas.basis[0])
-        p0 = float(np.vdot(k0, k0).real)
-        p0 = min(max(p0, 0.0), 1.0)
-        outcome = 0 if rng.random() < p0 else 1
-        if outcome == 0:
-            ket_next, p = k0, p0
-        else:
-            ket_next = _project(ket, meas.party, meas.basis[1])
-            p = 1.0 - p0
-        kets[node.copy_index] = ket_next / math.sqrt(max(p, 1e-300))
-        transcript.append((node.copy_index, meas.party, outcome))
-        prob *= p
-        node = node.children[outcome]
+    table = t.leaves
+    p = table.probabilities(b[true_index].amplitudes)
+    cum = np.cumsum(p)
+    # u < 1 gives u * cum[-1] < cum[-1], and side="right" skips zero-probability leaves
+    leaf = int(np.searchsorted(cum, np.random.default_rng(seed).random() * cum[-1], side="right"))
     return RunOutcome(
-        guessed_index=node.state_index,
-        transcript=tuple(transcript),
-        probability=prob,
+        guessed_index=int(table.conclusions[leaf]),
+        transcript=table.transcripts[leaf],
+        probability=float(p[leaf]),
     )
 
 

@@ -84,6 +84,46 @@ def conditional_bob_states(alice_vector, ket4):
     return out
 
 
+def project_party(party, v, ket4):
+    """(|v><v| (x) 1) ket4 for Alice, (1 (x) |v><v|) ket4 for Bob, acting on
+    the 2x2 coefficient matrix c[alice, bob] of ket4."""
+    p = np.outer(v, np.conj(v))
+    c = ket4.reshape(2, 2)
+    return (p @ c if party == "A" else c @ p.T).reshape(4)
+
+
+def born_rule_leaves(tree, ket):
+    """{transcript: (concluded index, probability)} for every reachable leaf
+    when each copy starts in ``ket``: walks the tree node by node, projecting
+    the measured copy and renormalising it after every outcome."""
+    leaves = {}
+
+    def walk(node, kets, transcript, prob):
+        if hasattr(node, "children"):
+            party = node.measurement.party
+            state = kets.get(node.copy_index, ket)
+            for outcome, child in enumerate(node.children):
+                projected = project_party(party, node.measurement.basis[outcome], state)
+                p = np.vdot(projected, projected).real
+                if p > 0:
+                    walk(child, {**kets, node.copy_index: projected / np.sqrt(p)},
+                         transcript + ((node.copy_index, party, outcome),), prob * p)
+        elif hasattr(node, "child"):
+            walk(node.child, kets, transcript, prob)
+        else:
+            leaves[transcript] = (node.state_index, prob)
+
+    walk(tree.root, {}, (), 1.0)
+    return leaves
+
+
+def born_rule_distribution(tree, ket):
+    dist = np.zeros(4)
+    for index, prob in born_rule_leaves(tree, ket).values():
+        dist[index] += prob
+    return dist
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -205,6 +205,15 @@ def test_simulate_rejects_bell_grouping_without_theta(capsys):
     assert code == 2
 
 
+def test_simulate_rejects_zero_runs(capsys):
+    code = main([
+        "simulate", "--protocol", "tournament", "--family", "A",
+        "--alpha", "0.3", "--beta", "0.9", "--gamma", PI_4_TEXT, "--runs", "0",
+    ])
+    assert code == 2
+    assert "--runs must be positive" in capsys.readouterr().err
+
+
 def test_simulate_env_seed_default(capsys, monkeypatch):
     monkeypatch.setenv("NONLOCAL_SEED", "42")
     args = ("simulate", "--protocol", "bell-grouping",

@@ -31,6 +31,8 @@ from qlocc.protocols import (
     validate_tree,
 )
 from conftest import (
+    born_rule_distribution,
+    born_rule_leaves,
     conditional_bob_states,
     haar_unitary,
     random_basis,
@@ -370,3 +372,66 @@ def test_alice_vector_residual_check_raises_linalg_error():
 
     with pytest.raises(np.linalg.LinAlgError):
         _alice_vector(np.full((2, 2), np.nan, dtype=complex))
+
+
+# --- compiled leaf table against the step-by-step Born-rule oracle ---------------
+
+def _assert_matches_oracle(tree, basis):
+    for k in basis:
+        dist = outcome_distribution(tree, k.amplitudes)
+        ref = born_rule_distribution(tree, k.amplitudes)
+        assert np.max(np.abs(dist - ref)) < 1e-12
+        assert np.argmax(dist) == np.argmax(ref)
+
+
+def test_outcome_distribution_matches_born_rule_oracle():
+    rng = np.random.default_rng(303)
+    for _ in range(200):
+        b = random_basis(rng)
+        tree = elimination_tournament(b)
+        _assert_matches_oracle(tree, b)
+        _assert_matches_oracle(tree, random_basis(rng))
+    for theta in np.linspace(0.0, math.pi / 2, 50):
+        _assert_matches_oracle(bell_grouping_protocol(theta), theta_basis(theta))
+    _assert_matches_oracle(_zz_guess_protocol(), theta_basis(PI_4))
+    _assert_matches_oracle(_zz_guess_protocol(), random_basis(rng))
+
+
+def test_sample_run_draws_oracle_leaves():
+    rng = np.random.default_rng(404)
+    tree = elimination_tournament(random_basis(rng))
+    b = random_basis(rng)  # a different basis, so the branches are random
+    oracle = [born_rule_leaves(tree, k.amplitudes) for k in b]
+    for r in range(2000):
+        out = sample_run(tree, b, r % 4, seed=r)
+        index, prob = oracle[r % 4][out.transcript]  # a root-to-leaf path
+        assert index == out.guessed_index
+        assert abs(out.probability - prob) < 1e-12
+
+
+def test_readers_reject_malformed_trees():
+    z = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    inner = Measure(0, LocalMeasurement("A", z), (Conclude(0), Conclude(1)))
+    trees = [
+        ProtocolTree(copies=1, root=Measure(2, LocalMeasurement("A", z),
+                                            (Conclude(0), Conclude(1)))),
+        ProtocolTree(copies=1, root=Measure(0, LocalMeasurement("A", z),
+                                            (inner, Conclude(1)))),
+    ]
+    b = theta_basis(PI_4)
+    for tree in trees:
+        with pytest.raises(MalformedProtocolError):
+            sample_run(tree, b, 0, seed=1)
+        with pytest.raises(MalformedProtocolError):
+            outcome_distribution(tree, b[0].amplitudes)
+
+
+def test_unmeasured_copies_cost_nothing():
+    # only measured copies enter the evaluation, however many the tree declares
+    tree = protocol_from_json(
+        '{"schema": "protocol.v1", "copies": 1000000000000,'
+        ' "root": {"kind": "conclude", "index": 1}}'
+    )
+    b = theta_basis(0.7)
+    assert abs(exact_success_probability(tree, b) - 0.25) < 1e-15
+    assert sample_run(tree, b, 0, seed=5).guessed_index == 1
