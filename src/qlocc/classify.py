@@ -40,7 +40,7 @@ from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, coefficient_m
 ANTIPARALLEL_IM_TOL = 1e-8
 DUAN_SUM_TOL = 1e-9
 REGION_BOUNDARY_TOL = 1e-9
-NEAR_FACTOR = 10.0  # warnings trigger within 10x of each decision tolerance
+NEAR_FACTOR = 10.0  # boundary-warning windows reach out to 10x each decision tolerance
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SPLITS = ((0, 1), (0, 2), (0, 3))  # each 2-vs-2 split, named by the pair holding 0
@@ -120,104 +120,14 @@ class ClassificationReport:
     boundary_warnings: tuple[str, ...] = ()
 
 
-def _concurrences(b: OrthonormalBasis) -> list[float]:
-    return [concurrence(k) for k in b]
-
-
-def _certificates(b: OrthonormalBasis):
-    return {(i, j): separability_certificate(pair_projector(b, i, j)) for i, j in PAIRS}
-
-
-def _pair_split_witness(certs) -> tuple[int, int] | None:
-    for i, j in SPLITS:
-        if certs[(i, j)].is_separable and certs[complement_pair(i, j)].is_separable:
-            return (i, j)
-    return None
-
-
-def _locc_category(cons, certs_lazy) -> LoccCategory:
-    entangled = [c >= CONCURRENCE_ZERO_TOL for c in cons]
-    if not any(entangled):
-        return LoccCategory("one_copy")
-    for l in range(4):
-        if sum(entangled[k] for k in range(4) if k != l) <= 1:
-            return LoccCategory("two_copy_elimination", eliminated=l)
-    witness = _pair_split_witness(certs_lazy())
-    if witness is not None:
-        return LoccCategory("two_copy_pair_split", pair=witness)
-    return LoccCategory("three_copy")
-
-
 def locc_category(b: OrthonormalBasis) -> LoccCategory:
     """Case split deciding the adaptive-LOCC copy count for a basis."""
-    cons = _concurrences(b)
-    return _locc_category(cons, lambda: _certificates(b))
+    return analyze(b).locc_category
 
 
 def min_copies_adaptive_locc(b: OrthonormalBasis) -> int:
     """Minimum copies for perfect discrimination under adaptive LOCC (1, 2 or 3)."""
-    return locc_category(b).min_copies
-
-
-def _duan_detail(states3, complement: BipartiteKet):
-    """Check SEP-distinguishability of three orthogonal states whose
-    orthocomplement is ``complement``.
-
-    Returns (ok, concurrence-sum residual); the residual feeds boundary warnings.
-    """
-    cons = [concurrence(k) for k in states3]
-    c_phi = concurrence(complement)
-    if c_phi < CONCURRENCE_ZERO_TOL:
-        # singular complement: the sum condition forces all three product
-        ok = all(c < CONCURRENCE_ZERO_TOL for c in cons)
-        return ok, sum(cons) - c_phi
-    phi_inv = np.linalg.inv(coefficient_matrix(complement))
-    anti_ok = True
-    for k, c in zip(states3, cons):
-        if c < CONCURRENCE_ZERO_TOL:
-            continue
-        lam = np.linalg.eigvals(coefficient_matrix(k) @ phi_inv)
-        lam = sorted(lam, key=abs)
-        ratio = lam[0] / lam[1]
-        if not (abs(ratio.imag) < ANTIPARALLEL_IM_TOL and ratio.real < 0.0):
-            anti_ok = False
-    residual = sum(cons) - c_phi
-    return anti_ok and abs(residual) < DUAN_SUM_TOL, residual
-
-
-def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
-    """True iff three orthogonal states (complement given) are perfectly
-    distinguishable by separable operations: every entangled member must have
-    anti-parallel eigenvalues against the complement's coefficient matrix and
-    the concurrences must sum to the complement's."""
-    states = tuple(states)
-    if len(states) != 3:
-        raise ValueError("expected exactly 3 states")
-    return _duan_detail(states, complement)[0]
-
-
-def _sep_decision(b: OrthonormalBasis, cons, certs, locc: LoccCategory):
-    """Returns (min_copies, witness, assumptions, warnings)."""
-    warnings: list[str] = []
-    if all(c < CONCURRENCE_ZERO_TOL for c in cons):
-        return 1, SepWitness("all_product"), (), warnings
-    witness = _pair_split_witness(certs)
-    if witness is not None:
-        return 2, SepWitness("pair_split", pair=witness), (), warnings
-    for l in range(4):
-        triple = [b[k] for k in range(4) if k != l]
-        ok, residual = _duan_detail(triple, b[l])
-        if DUAN_SUM_TOL <= abs(residual) < NEAR_FACTOR * DUAN_SUM_TOL:
-            warnings.append(
-                f"concurrence-sum residual {residual:.3e} for elimination of "
-                f"state {l} is within 10x of tolerance"
-            )
-        if ok:
-            return 2, SepWitness("elimination", eliminated=l), (ASSUMPTION_SEP_ELIMINATION,), warnings
-    if locc.min_copies <= 2:
-        # any 2-copy LOCC scheme is itself a separable scheme
-        return 2, SepWitness("locc_protocol"), (), warnings
-    return 3, SepWitness("none"), (), warnings
+    return analyze(b).min_copies_locc
 
 
 def min_copies_adaptive_sep(b: OrthonormalBasis) -> int:
@@ -226,33 +136,81 @@ def min_copies_adaptive_sep(b: OrthonormalBasis) -> int:
     return analyze(b).min_copies_sep
 
 
+def _duan_detail(cons, mats, l: int):
+    """Check SEP-distinguishability of the three states other than ``l``,
+    whose orthocomplement is state ``l``, from the concurrences ``cons`` and
+    coefficient matrices ``mats`` of all four.
+
+    Returns (ok, concurrence-sum residual); the residual feeds boundary warnings.
+    """
+    rest = [k for k in range(4) if k != l]
+    residual = sum(cons[k] for k in rest) - cons[l]
+    if cons[l] < CONCURRENCE_ZERO_TOL:
+        # singular complement: the sum condition forces all three product
+        return all(cons[k] < CONCURRENCE_ZERO_TOL for k in rest), residual
+    phi_inv = np.linalg.inv(mats[l])
+
+    def antiparallel(k: int) -> bool:
+        lam = sorted(np.linalg.eigvals(mats[k] @ phi_inv), key=abs)
+        ratio = lam[0] / lam[1]
+        return abs(ratio.imag) < ANTIPARALLEL_IM_TOL and ratio.real < 0.0
+
+    anti_ok = all(antiparallel(k) for k in rest if cons[k] >= CONCURRENCE_ZERO_TOL)
+    return anti_ok and abs(residual) < DUAN_SUM_TOL, residual
+
+
+def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
+    """True iff three orthogonal states (complement given) are perfectly
+    distinguishable by separable operations: every entangled member must have
+    anti-parallel eigenvalues against the complement's coefficient matrix and
+    the concurrences must sum to the complement's."""
+    kets = (*states, complement)
+    if len(kets) != 4:
+        raise ValueError("expected exactly 3 states")
+    return _duan_detail([concurrence(k) for k in kets],
+                        [coefficient_matrix(k) for k in kets], 3)[0]
+
+
+def _surface_ratios(alpha: float, beta: float, message: str) -> tuple[float, float]:
+    """(sin 2 beta / sin 2 alpha, sin 2 alpha / sin 2 beta): the values of
+    tan^2(gamma) at which family state 3, respectively state 4, is product.
+
+    Raises DegenerateFamilyError(message) when alpha or beta sits at 0 or pi/2.
+    """
+    s2a, s2b = math.sin(2 * alpha), math.sin(2 * beta)
+    if min(s2a, s2b) < 1e-12:
+        raise DegenerateFamilyError(message)
+    return s2b / s2a, s2a / s2b
+
+
+def _surface_gaps(p: FamilyParams) -> tuple[float, float]:
+    """tan^2(gamma) minus each product-surface ratio (state 3's, then state 4's)."""
+    t = math.tan(p.gamma) ** 2
+    r_a3, r_a4 = _surface_ratios(p.alpha, p.beta,
+                                 "region undefined for alpha or beta at 0 or pi/2")
+    return t - r_a3, t - r_a4
+
+
 def region(p: FamilyParams) -> Region:
     """Classify (alpha, beta, gamma) against the two product surfaces.
 
     Raises DegenerateFamilyError when alpha or beta sits at 0 or pi/2, where
     sin(2 alpha)/sin(2 beta) ratios degenerate.
     """
-    s2a, s2b = math.sin(2 * p.alpha), math.sin(2 * p.beta)
-    if min(s2a, s2b) < 1e-12:
-        raise DegenerateFamilyError(
-            "region undefined for alpha or beta at 0 or pi/2"
-        )
-    r_a3 = s2b / s2a  # saturating tan^2(gamma) here makes state 3 product
-    r_a4 = s2a / s2b  # and here state 4
-    t = math.tan(p.gamma) ** 2
-    on_a3 = abs(t - r_a3) < REGION_BOUNDARY_TOL
-    on_a4 = abs(t - r_a4) < REGION_BOUNDARY_TOL
+    g3, g4 = _surface_gaps(p)
+    on_a3 = abs(g3) < REGION_BOUNDARY_TOL
+    on_a4 = abs(g4) < REGION_BOUNDARY_TOL
     if on_a3 and on_a4:
         return Region("boundary", "a3+a4")
     if on_a3:
         return Region("boundary", "a3")
     if on_a4:
         return Region("boundary", "a4")
-    if r_a3 >= t >= r_a4:
+    if g3 <= 0.0 <= g4:
         return Region("R_I")
-    if r_a4 >= t >= r_a3:
+    if g4 <= 0.0 <= g3:
         return Region("R_II")
-    if t >= max(r_a3, r_a4):
+    if min(g3, g4) >= 0.0:
         return Region("R_III")
     return Region("R_IV")
 
@@ -260,61 +218,89 @@ def region(p: FamilyParams) -> Region:
 def gamma_star(alpha: float, beta: float) -> float:
     """The gamma making the fourth family state product:
     arctan(sqrt(sin 2 alpha / sin 2 beta))."""
-    s2a, s2b = math.sin(2 * alpha), math.sin(2 * beta)
-    if min(s2a, s2b) < 1e-12:
-        raise DegenerateFamilyError("gamma_star undefined for degenerate angles")
-    return math.atan(math.sqrt(s2a / s2b))
-
-
-def _boundary_warnings(cons, certs, p: FamilyParams | None) -> list[str]:
-    out = []
-    for k, c in enumerate(cons):
-        if 0.1 * CONCURRENCE_ZERO_TOL <= c < NEAR_FACTOR * CONCURRENCE_ZERO_TOL:
-            out.append(
-                f"concurrence {c:.3e} of state {k} is within 10x of the product threshold"
-            )
-    for (i, j), cert in certs.items():
-        if -NEAR_FACTOR * cert.tolerance <= cert.min_pt_eigenvalue <= -0.1 * cert.tolerance:
-            out.append(
-                f"min PT eigenvalue {cert.min_pt_eigenvalue:.3e} of pair "
-                f"({i},{j}) is within 10x of the separability threshold"
-            )
-    if p is not None:
-        s2a, s2b = math.sin(2 * p.alpha), math.sin(2 * p.beta)
-        if min(s2a, s2b) >= 1e-12:
-            t = math.tan(p.gamma) ** 2
-            for r in (s2b / s2a, s2a / s2b):
-                if REGION_BOUNDARY_TOL <= abs(t - r) < NEAR_FACTOR * REGION_BOUNDARY_TOL:
-                    out.append(
-                        f"tan^2(gamma) is within 10x of a region boundary "
-                        f"(|t - r| = {abs(t - r):.3e})"
-                    )
-    return out
+    r_a4 = _surface_ratios(alpha, beta, "gamma_star undefined for degenerate angles")[1]
+    return math.atan(math.sqrt(r_a4))
 
 
 def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> ClassificationReport:
     """Full classification of a basis: concurrences, the six pair-projector
     certificates, LOCC and SEP copy counts, and (for three-angle family
-    inputs) the parameter region."""
-    cons = _concurrences(b)
-    certs = _certificates(b)
-    cat = _locc_category(cons, lambda: certs)
-    assumptions: list[str] = []
-    if cat.kind == "two_copy_elimination":
-        assumptions.append(ASSUMPTION_LOCC_ELIMINATION)
-    sep_value, sep_wit, sep_assumptions, sep_warnings = _sep_decision(b, cons, certs, cat)
-    assumptions.extend(a for a in sep_assumptions if a not in assumptions)
+    inputs) the parameter region.
+
+    The concurrences, coefficient matrices and certificates are computed once
+    here; every verdict, witness, assumption and boundary warning reads them.
+    """
     reg = region(p) if p is not None else None
-    warnings = _boundary_warnings(cons, certs, p) + sep_warnings
+    cons = [concurrence(k) for k in b]
+    mats = [coefficient_matrix(k) for k in b]
+    certs = {(i, j): separability_certificate(pair_projector(b, i, j)) for i, j in PAIRS}
+
+    warnings = [
+        f"concurrence {c:.3e} of state {k} is within 10x of the product threshold"
+        for k, c in enumerate(cons)
+        if 0.1 * CONCURRENCE_ZERO_TOL <= c < NEAR_FACTOR * CONCURRENCE_ZERO_TOL
+    ]
+    warnings += [
+        f"min PT eigenvalue {cert.min_pt_eigenvalue:.3e} of pair ({i},{j}) "
+        f"is within 10x of the separability threshold"
+        for (i, j), cert in certs.items()
+        if -NEAR_FACTOR * cert.tolerance <= cert.min_pt_eigenvalue <= -0.1 * cert.tolerance
+    ]
+    if p is not None:
+        warnings += [
+            f"tan^2(gamma) is within 10x of a region boundary (|t - r| = {abs(g):.3e})"
+            for g in _surface_gaps(p)
+            if REGION_BOUNDARY_TOL <= abs(g) < NEAR_FACTOR * REGION_BOUNDARY_TOL
+        ]
+
+    entangled = [c >= CONCURRENCE_ZERO_TOL for c in cons]
+    entangled_count = sum(entangled)
+    eliminated = next((l for l in range(4) if entangled_count - entangled[l] <= 1), None)
+    split = next((s for s in SPLITS if certs[s].is_separable
+                  and certs[complement_pair(*s)].is_separable), None)
+    assumptions: list[str] = []
+    if entangled_count == 0:
+        cat = LoccCategory("one_copy")
+    elif eliminated is not None:
+        cat = LoccCategory("two_copy_elimination", eliminated=eliminated)
+        assumptions.append(ASSUMPTION_LOCC_ELIMINATION)
+    elif split is not None:
+        cat = LoccCategory("two_copy_pair_split", pair=split)
+    else:
+        cat = LoccCategory("three_copy")
+
+    if entangled_count == 0:
+        sep_copies, sep_wit = 1, SepWitness("all_product")
+    elif split is not None:
+        sep_copies, sep_wit = 2, SepWitness("pair_split", pair=split)
+    else:
+        for l in range(4):
+            ok, residual = _duan_detail(cons, mats, l)
+            if DUAN_SUM_TOL <= abs(residual) < NEAR_FACTOR * DUAN_SUM_TOL:
+                warnings.append(
+                    f"concurrence-sum residual {residual:.3e} for elimination of "
+                    f"state {l} is within 10x of tolerance"
+                )
+            if ok:
+                sep_copies, sep_wit = 2, SepWitness("elimination", eliminated=l)
+                assumptions.append(ASSUMPTION_SEP_ELIMINATION)
+                break
+        else:
+            if cat.min_copies <= 2:
+                # any 2-copy LOCC scheme is itself a separable scheme
+                sep_copies, sep_wit = 2, SepWitness("locc_protocol")
+            else:
+                sep_copies, sep_wit = 3, SepWitness("none")
+
     return ClassificationReport(
         label=b.label,
         concurrences=tuple(cons),
-        entangled_count=sum(c >= CONCURRENCE_ZERO_TOL for c in cons),
+        entangled_count=entangled_count,
         locc_category=cat,
         min_copies_locc=cat.min_copies,
-        min_copies_sep=sep_value,
+        min_copies_sep=sep_copies,
         sep_witness=sep_wit,
-        certificates=tuple(sorted(certs.items())),
+        certificates=tuple(certs.items()),
         region=reg,
         params=p,
         assumptions=tuple(assumptions),

@@ -123,11 +123,9 @@ def strong_pair_shares(
     The security verdict passes only when both projectors are entangled;
     orthogonal supports always keep the pair globally distinguishable.
     """
-    if i == j:
-        raise ValueError("the two encoding states must differ")
+    k, l = complement_pair(i, j)
     if not (0.0 < lam < 1.0) or not (0.0 < mu < 1.0):
         raise ValueError("lambda and mu must lie strictly inside (0, 1)")
-    k, l = complement_pair(i, j)
     sigma = lam * outer(b[i].amplitudes) + (1 - lam) * outer(b[j].amplitudes)
     sigma_perp = mu * outer(b[k].amplitudes) + (1 - mu) * outer(b[l].amplitudes)
     share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=lam, mu=mu)

@@ -28,7 +28,6 @@ from . import codec
 from .linalg import as_complex_vector, canonical_phase
 
 GRAM_ATOL = 1e-10
-KET_NORM_ATOL = 1e-12
 
 
 class NotOrthonormalError(ValueError):
@@ -143,8 +142,11 @@ def validate_basis(kets, label: str = "custom") -> OrthonormalBasis:
 
 
 def complement_pair(i: int, j: int) -> tuple[int, int]:
-    k, l = sorted(set(range(4)) - {i, j})
-    return k, l
+    """The two state indices other than i and j, ascending."""
+    rest = sorted(set(range(4)) - {i, j})
+    if len(rest) != 2:
+        raise ValueError(f"expected two distinct state indices in 0..3, got {i} and {j}")
+    return rest[0], rest[1]
 
 
 def _theta_vectors(theta: float) -> list[np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -22,7 +23,8 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
-from conftest import haar_unitary, random_basis, random_low_entanglement_basis
+from conftest import (haar_unitary, pt_oracle, random_basis, random_low_entanglement_basis,
+                      spin_flip_concurrence)
 
 PI_4 = math.pi / 4
 PI_6 = math.pi / 6
@@ -228,6 +230,57 @@ def test_analyze_boundary_warning_near_region_surface():
     assert any("region boundary" in w for w in rep.boundary_warnings)
 
 
+def test_boundary_warnings_near_product_concurrence():
+    rep = analyze(theta_basis(2.5e-9))
+    assert rep.boundary_warnings == tuple(
+        f"concurrence 5.000e-09 of state {k} is within 10x of the product threshold"
+        for k in range(4)
+    )
+
+
+def test_boundary_warnings_near_separable_pair():
+    # beta a hair off alpha: the (0,1) and (2,3) projectors are barely NPT,
+    # with min PT eigenvalue -(cos 4 alpha - cos 4 beta)/8 to first order
+    al, be = 0.3, 0.3 + 1e-8
+    p = FamilyParams(alpha=al, beta=be, gamma=0.5)
+    rep = analyze(a_basis(p), p)
+    cert = dict(rep.certificates)[(0, 1)]
+    assert cert.min_pt_eigenvalue == pytest.approx(
+        -(math.cos(4 * al) - math.cos(4 * be)) / 8, rel=1e-6)
+    assert rep.boundary_warnings == tuple(
+        f"min PT eigenvalue -4.660e-09 of pair {pair} is within 10x of the "
+        f"separability threshold"
+        for pair in ("(0,1)", "(2,3)")
+    )
+
+
+def test_boundary_warnings_near_concurrence_sum():
+    # the elimination of state 1 passes with a roundoff-sized residual, which
+    # is not flagged; a small global unitary moves that residual just past
+    # its tolerance
+    assert analyze(_ab(0.3, 0.9, PI_4)).boundary_warnings == ()
+    g = np.random.default_rng(2)
+    h = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    u = (v * np.exp(1e-5j * w)) @ v.conj().T
+    b = validate_basis([BipartiteKet(u @ k.amplitudes) for k in _ab(0.3, 0.9, PI_4)])
+    rep = analyze(b)
+    assert rep.boundary_warnings == (
+        "concurrence-sum residual 2.504e-09 for elimination of state 1 is within "
+        "10x of tolerance",
+    )
+
+
+def test_boundary_warnings_order_concurrence_before_region():
+    p = FamilyParams(alpha=0.7, beta=0.7, gamma=math.atan(math.sqrt(1.0 + 5e-9)))
+    rep = analyze(a_basis(p), p)
+    assert rep.boundary_warnings == tuple(
+        [f"concurrence 2.464e-09 of state {k} is within 10x of the product threshold"
+         for k in (2, 3)]
+        + ["tan^2(gamma) is within 10x of a region boundary (|t - r| = 5.000e-09)"] * 2
+    )
+
+
 def test_report_json_fields():
     p = FamilyParams(alpha=0.3, beta=0.9, gamma=PI_4)
     doc = json.loads(report_to_json(analyze(a_basis(p), p)))
@@ -343,3 +396,48 @@ def test_antiparallel_ratios_in_region1():
                 assert ratio.real < 0
             checked += 1
     assert checked >= 20
+
+
+# --- decision-level differential test -----------------------------------------------
+
+LOCC_COPIES = {"one_copy": 1, "two_copy_elimination": 2, "two_copy_pair_split": 2,
+               "three_copy": 3}
+
+
+def _oracle_locc_kind(vectors):
+    """The LOCC case split re-derived from spin-flip concurrences and
+    index-permuted PT spectra; None when a deciding quantity lies within 10x
+    of its tolerance."""
+    cons = [spin_flip_concurrence(v) for v in vectors]
+    min_pt = {}
+    for i, j in itertools.combinations(range(4), 2):
+        proj = np.outer(vectors[i], vectors[i].conj()) + np.outer(vectors[j], vectors[j].conj())
+        min_pt[(i, j)] = np.linalg.eigvalsh(pt_oracle(proj))[0]
+    if any(1e-10 <= c <= 1e-8 for c in cons) or any(1e-10 <= -m <= 1e-8 for m in min_pt.values()):
+        return None
+    entangled = sum(c >= 1e-9 for c in cons)
+    if entangled == 0:
+        return "one_copy"
+    if entangled <= 2:
+        return "two_copy_elimination"
+    for group, other in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        if min_pt[group] >= -1e-9 and min_pt[other] >= -1e-9:
+            return "two_copy_pair_split"
+    return "three_copy"
+
+
+def test_locc_verdicts_match_independent_oracles(rng):
+    bases = [random_basis(rng) for _ in range(200)]
+    bases += [random_low_entanglement_basis(rng) for _ in range(200)]
+    edge = np.linspace(0.0, math.pi / 2, 6)
+    bases += [_ab(al, be, ga) for al in edge for be in edge for ga in edge[1:-1]]
+    bases += [theta_basis(t) for t in np.linspace(0.0, math.pi / 2, 21)]
+    seen = set()
+    for b in bases:
+        want = _oracle_locc_kind(b.matrix())
+        if want is None:
+            continue
+        rep = analyze(b)
+        assert (rep.locc_category.kind, rep.min_copies_locc) == (want, LOCC_COPIES[want]), b.label
+        seen.add(want)
+    assert seen == set(LOCC_COPIES)

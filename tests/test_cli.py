@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from qlocc import protocol_from_json
 from qlocc.cli import main
 
@@ -257,6 +259,16 @@ def test_secret_share_strong_pair_pass_and_fail(capsys):
     )
     assert code == 0
     assert json.loads(out)["security"] == "FAIL"
+
+
+@pytest.mark.parametrize("i, j", [("0", "7"), ("-1", "2"), ("2", "2")])
+def test_secret_share_strong_pair_rejects_bad_indices(capsys, i, j):
+    code = main([
+        "secret-share", "strong-pair", "--family", "theta", "--theta", "0.4",
+        "--i", i, "--j", j,
+    ])
+    assert code == 2
+    assert f"got {i} and {j}" in capsys.readouterr().err
 
 
 def test_secret_share_encode_rejects_bad_message(capsys):
