@@ -8,6 +8,8 @@ significant digits so repeated runs are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -58,42 +60,49 @@ def _angle(value: float, degrees: bool) -> float:
 
 
 def _parse_range(text: str, degrees: bool) -> list[float]:
-    """Either a fixed angle ('0.3') or 'min:max:steps' with steps >= 2."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be min:max:steps, got {text!r}")
-        lo, hi = _angle(float(parts[0]), degrees), _angle(float(parts[1]), degrees)
-        steps = int(parts[2])
-        if steps < 2:
-            raise ValueError("a range needs steps >= 2")
-        if not (0.0 <= lo <= hi <= math.pi / 2 + 1e-12):
-            raise ValueError("range must lie inside [0, pi/2]")
-        return [float(v) for v in np.linspace(lo, hi, steps)]
-    v = _angle(float(text), degrees)
-    if not (0.0 <= v <= math.pi / 2 + 1e-12):
-        raise ValueError(f"angle {v} outside [0, pi/2]")
-    return [v]
+    """Either a fixed angle ('0.3') or 'min:max:steps' with min <= max and
+    steps >= 2.  FamilyParams bounds the angles themselves."""
+    if ":" not in text:
+        return [_angle(float(text), degrees)]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"range must be min:max:steps, got {text!r}")
+    lo, hi = _angle(float(parts[0]), degrees), _angle(float(parts[1]), degrees)
+    steps = int(parts[2])
+    if steps < 2:
+        raise ValueError("a range needs steps >= 2")
+    if not lo <= hi:
+        raise ValueError(f"a range needs min <= max, got {text!r}")
+    return [float(v) for v in np.linspace(lo, hi, steps)]
+
+
+def _family_params(args, angles) -> list[FamilyParams]:
+    """Every point the family flags name, alpha-major; ``angles`` turns one
+    flag value into its list of radians."""
+    if args.family == "A":
+        if args.alpha is None or args.beta is None or args.gamma is None:
+            raise ValueError("family A needs --alpha, --beta and --gamma")
+        grid = itertools.product(angles(args.alpha), angles(args.beta), angles(args.gamma))
+        return [FamilyParams(alpha=al, beta=be, gamma=ga) for al, be, ga in grid]
+    if args.family == "theta":
+        if args.theta is None:
+            raise ValueError("family theta needs --theta")
+        return [FamilyParams(theta=th) for th in angles(args.theta)]
+    other = " or --basis-file" if "basis_file" in args else ""
+    raise ValueError("specify --family {A,theta}" + other)
+
+
+def _point(args) -> FamilyParams:
+    (p,) = _family_params(args, lambda v: [_angle(v, args.degrees)])
+    return p
 
 
 def _basis_from_args(args) -> tuple[OrthonormalBasis, FamilyParams | None]:
     if getattr(args, "basis_file", None):
         with open(args.basis_file, "r", encoding="utf-8") as fh:
             return basis_from_json(fh.read()), None
-    if args.family == "A":
-        if args.alpha is None or args.beta is None or args.gamma is None:
-            raise ValueError("family A needs --alpha, --beta and --gamma")
-        p = FamilyParams(
-            alpha=_angle(args.alpha, args.degrees),
-            beta=_angle(args.beta, args.degrees),
-            gamma=_angle(args.gamma, args.degrees),
-        )
-        return a_basis(p), p
-    if args.family == "theta":
-        if args.theta is None:
-            raise ValueError("family theta needs --theta")
-        return theta_basis(_angle(args.theta, args.degrees)), None
-    raise ValueError("specify --family {A,theta} or --basis-file")
+    p = _point(args)
+    return (a_basis(p), p) if args.family == "A" else (theta_basis(p.theta), None)
 
 
 def cmd_analyze(args) -> int:
@@ -129,32 +138,13 @@ def _scan_row(family: str, p: FamilyParams) -> dict[str, str]:
 
 
 def cmd_scan(args) -> int:
-    if args.columns:
-        columns = tuple(c.strip() for c in args.columns.split(","))
-        unknown = [c for c in columns if c not in SCAN_COLUMNS]
-        if unknown:
-            raise ValueError(f"unknown columns: {', '.join(unknown)}")
-    else:
-        columns = SCAN_COLUMNS
-    rows = []
-    if args.family == "A":
-        if args.alpha is None or args.beta is None or args.gamma is None:
-            raise ValueError("family A scans need --alpha, --beta and --gamma")
-        for al in _parse_range(args.alpha, args.degrees):
-            for be in _parse_range(args.beta, args.degrees):
-                for ga in _parse_range(args.gamma, args.degrees):
-                    rows.append(_scan_row("A", FamilyParams(alpha=al, beta=be, gamma=ga)))
-    elif args.family == "theta":
-        if args.theta is None:
-            raise ValueError("family theta scans need --theta")
-        for th in _parse_range(args.theta, args.degrees):
-            rows.append(_scan_row("theta", FamilyParams(theta=th)))
-    else:
-        raise ValueError("scan needs --family {A,theta}")
-    lines = [
-        "# scan.v1 columns: " + ",".join(SCAN_COLUMNS),
-        ",".join(columns),
-    ]
+    columns = tuple(c.strip() for c in args.columns.split(",")) if args.columns else SCAN_COLUMNS
+    unknown = [c for c in columns if c not in SCAN_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown columns: {', '.join(unknown)}")
+    points = _family_params(args, lambda text: _parse_range(text, args.degrees))
+    rows = [_scan_row(args.family, p) for p in points]
+    lines = ["# scan.v1 columns: " + ",".join(SCAN_COLUMNS), ",".join(columns)]
     lines += [",".join(row[c] for c in columns) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -174,31 +164,37 @@ def _wilson_ci95(successes: int, runs: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _seed(args) -> int:
+    """--seed, else NONLOCAL_SEED read at call time, else 0."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, text = "NONLOCAL_SEED", os.environ.get("NONLOCAL_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"NONLOCAL_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be positive")
+    seed = _seed(args)
     if args.protocol == "tournament":
         basis, _ = _basis_from_args(args)
         tree = elimination_tournament(basis, copies=3)
-    elif args.protocol == "bell-grouping":
-        if args.family != "theta" or args.theta is None:
-            raise ValueError("bell-grouping needs --family theta --theta VALUE")
-        theta = _angle(args.theta, args.degrees)
-        basis = theta_basis(theta)
-        tree = bell_grouping_protocol(theta)
+    elif args.family == "theta":
+        theta = _point(args).theta
+        basis, tree = theta_basis(theta), bell_grouping_protocol(theta)
     else:
-        raise ValueError(f"unknown protocol {args.protocol!r}")
+        raise ValueError("bell-grouping needs --family theta --theta VALUE")
     exact = exact_success_probability(tree, basis)
-    successes = 0
-    per_state = [0, 0, 0, 0]
-    runs_per_state = [0, 0, 0, 0]
+    per_state = [0, 0, 0, 0]  # run r prepares state r % 4
     for r in range(args.runs):
-        true_index = r % 4
-        out = sample_run(tree, basis, true_index, seed=args.seed + r)
-        runs_per_state[true_index] += 1
-        if out.guessed_index == true_index:
-            successes += 1
-            per_state[true_index] += 1
+        per_state[r % 4] += sample_run(tree, basis, r % 4, seed=seed + r).guessed_index == r % 4
+    successes = sum(per_state)
     lo, hi = _wilson_ci95(successes, args.runs)
     doc = {
         "schema": "simulate.v1",
@@ -206,14 +202,13 @@ def cmd_simulate(args) -> int:
         "basis_label": basis.label,
         "copies": tree.copies,
         "runs": args.runs,
-        "seed": args.seed,
+        "seed": seed,
         "exact_success_probability": exact,
         "empirical_success_rate": successes / args.runs,
         "successes": successes,
         "wilson_ci95": [lo, hi],
         "per_state_success_rate": [
-            (per_state[i] / runs_per_state[i]) if runs_per_state[i] else None
-            for i in range(4)
+            per_state[i] / len(range(i, args.runs, 4)) if i < args.runs else None for i in range(4)
         ],
     }
     if args.protocol_out:
@@ -223,29 +218,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_secret_share(args) -> int:
-    if args.action == "encode":
-        basis, _ = _basis_from_args(args)
-        share = encode_2bit(args.message, basis)
-        print(share_set_to_json(share, basis))
-        return 0
-    if args.action == "decode":
-        with open(args.shares_file, "r", encoding="utf-8") as fh:
-            share, basis = share_set_from_json(fh.read())
-        decoded = decode_full_collaboration(share, basis)
-        print(codec.dump({
-            "schema": "shares.v1",
-            "kind": "decode_result",
-            "decoded_message": decoded,
-            "matches_encoded": decoded == share.message,
-        }))
-        return 0
-    if args.action == "strong-pair":
-        basis, _ = _basis_from_args(args)
-        result = strong_pair_shares(basis, args.i, args.j, args.lam, args.mu)
-        print(strong_pair_to_json(result))
-        return 0
-    raise ValueError(f"unknown secret-share action {args.action!r}")
+def cmd_encode(args) -> int:
+    basis, _ = _basis_from_args(args)
+    print(share_set_to_json(encode_2bit(args.message, basis), basis))
+    return 0
+
+
+def cmd_decode(args) -> int:
+    with open(args.shares_file, "r", encoding="utf-8") as fh:
+        share, basis = share_set_from_json(fh.read())
+    decoded = decode_full_collaboration(share, basis)
+    print(codec.dump({
+        "schema": "shares.v1",
+        "kind": "decode_result",
+        "decoded_message": decoded,
+        "matches_encoded": decoded == share.message,
+    }))
+    return 0
+
+
+def cmd_strong_pair(args) -> int:
+    basis, _ = _basis_from_args(args)
+    print(strong_pair_to_json(strong_pair_shares(basis, args.i, args.j, args.lam, args.mu)))
+    return 0
 
 
 def _add_family_options(p: argparse.ArgumentParser, *, as_range: bool = False) -> None:
@@ -259,7 +254,9 @@ def _add_family_options(p: argparse.ArgumentParser, *, as_range: bool = False) -
                    help="interpret all angles as degrees")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every `main` call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="qlocc",
         description="Multi-copy adaptive local discrimination of two-qubit bases",
@@ -281,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(p)
     p.add_argument("--protocol", required=True, choices=("tournament", "bell-grouping"))
     p.add_argument("--runs", type=int, default=10000)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("NONLOCAL_SEED", "0")))
+    p.add_argument("--seed", type=int, help="default: NONLOCAL_SEED, else 0")
     p.add_argument("--protocol-out", help="also write the protocol.v1 JSON here")
     p.set_defaults(func=cmd_simulate)
 
@@ -293,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(enc)
     enc.add_argument("--basis-file")
     enc.add_argument("--message", type=int, required=True)
-    enc.set_defaults(func=cmd_secret_share, action="encode")
+    enc.set_defaults(func=cmd_encode)
 
     dec = actions.add_parser("decode", help="decode a shares.v1 share set")
     dec.add_argument("--shares-file", required=True)
-    dec.set_defaults(func=cmd_secret_share, action="decode")
+    dec.set_defaults(func=cmd_decode)
 
     sp = actions.add_parser("strong-pair", help="rank-2 mixture pair with certificates")
     _add_family_options(sp)
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
     sp.add_argument("--mu", type=float, default=0.5)
-    sp.set_defaults(func=cmd_secret_share, action="strong-pair")
+    sp.set_defaults(func=cmd_strong_pair)
 
     return parser
 

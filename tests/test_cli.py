@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qlocc import protocol_from_json
-from qlocc.cli import main
+from qlocc.cli import build_parser, main
 
 PI_4_TEXT = "0.78539816339744831"
 
@@ -225,6 +225,40 @@ def test_simulate_env_seed_default(capsys, monkeypatch):
     _, explicit = run_cli(capsys, *args, "--seed", "42")
     assert json.loads(from_env) == json.loads(explicit)
     assert json.loads(from_env)["seed"] == 42
+
+
+def test_bad_env_seed_only_fails_simulate(capsys, monkeypatch):
+    monkeypatch.setenv("NONLOCAL_SEED", "abc")
+    code, _ = run_cli(capsys, "analyze", "--family", "theta", "--theta", "0.4")
+    assert code == 0
+    code = main(["simulate", "--protocol", "bell-grouping",
+                 "--family", "theta", "--theta", "0.6", "--runs", "5"])
+    assert code == 2
+    assert "NONLOCAL_SEED" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    code = main([
+        "simulate", "--protocol", "tournament", "--family", "A",
+        "--alpha", "0.3", "--beta", "0.9", "--gamma", PI_4_TEXT, "--seed", "-2",
+    ])
+    assert code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("NONLOCAL_SEED", raising=False)
+    build_parser.cache_clear()
+    args = ("simulate", "--protocol", "bell-grouping",
+            "--family", "theta", "--theta", "0.6", "--runs", "20")
+    _, seeded = run_cli(capsys, *args, "--seed", "7")
+    _, default = run_cli(capsys, *args)
+    _, analyzed = run_cli(capsys, "analyze", "--family", "theta", "--theta", "0.6")
+    assert json.loads(seeded)["seed"] == 7
+    assert json.loads(default)["seed"] == 0
+    assert json.loads(analyzed)["min_copies_locc"] == 2
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_secret_share_roundtrip_cli(capsys, tmp_path):
