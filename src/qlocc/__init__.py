@@ -46,6 +46,7 @@ from .protocols import (
     protocol_from_json,
     protocol_to_json,
     sample_run,
+    sample_runs,
     success_probabilities,
     walgate_pair_protocol,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "sample_run",
+    "sample_runs",
     "separability_certificate",
     "strong_pair_shares",
     "success_probabilities",

@@ -30,7 +30,8 @@ from .protocols import (
     elimination_tournament,
     exact_success_probability,
     protocol_to_json,
-    sample_run,
+    sample_run,  # not called here; bench/tracing.py wraps qlocc.cli.sample_run by name
+    sample_runs,
 )
 from .secretshare import (
     decode_full_collaboration,
@@ -191,9 +192,12 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError("bell-grouping needs --family theta --theta VALUE")
     exact = exact_success_probability(tree, basis)
-    per_state = [0, 0, 0, 0]  # run r prepares state r % 4
-    for r in range(args.runs):
-        per_state[r % 4] += sample_run(tree, basis, r % 4, seed=seed + r).guessed_index == r % 4
+    states = np.arange(args.runs) % 4  # run r prepares state r % 4
+    # and draws with seed (seed + r) mod 2**64: uint64 addition wraps
+    seeds = np.arange(args.runs, dtype=np.uint64) + np.uint64(seed % 2**64)
+    leaves, _ = sample_runs(tree, basis, states, seeds)
+    hits = states[tree.leaves.conclusions[leaves] == states]
+    per_state = np.bincount(hits, minlength=4).tolist()
     successes = sum(per_state)
     lo, hi = _wilson_ci95(successes, args.runs)
     doc = {

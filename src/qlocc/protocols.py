@@ -31,6 +31,9 @@ from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 ORTHILITY_ATOL = 1e-10
 VANISH_TOL = 1e-9  # conditional branch weight below which a state never lands there
 MAX_PROTOCOL_DEPTH = 64  # protocol.v1 nesting limit; the tournament is 9 deep
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 
 
 class NotOrthogonalError(ValueError):
@@ -123,41 +126,46 @@ class LeafTable:
         return (np.abs(amp) ** 2).sum(axis=-1).prod(axis=-1)
 
 
+def _walk(node, copies: int, used: frozenset, path: tuple, vectors: list, leaves: list) -> None:
+    """Append every leaf below ``node`` to ``leaves`` as (conclusion, path), each
+    path step (copy, party, outcome, projector), projector k + 1 being
+    |vectors[k]><vectors[k]|.  A module-level function rather than a closure, so
+    no reference cycle keeps the tree alive once its callers drop it."""
+    if isinstance(node, Conclude):
+        if not 0 <= node.state_index < 4:
+            raise MalformedProtocolError(f"conclude index {node.state_index} out of range")
+        leaves.append((node.state_index, path))
+        return
+    if isinstance(node, Eliminate):
+        _walk(node.child, copies, used, path, vectors, leaves)
+        return
+    if isinstance(node, Measure):
+        if not 0 <= node.copy_index < copies:
+            raise MalformedProtocolError(
+                f"copy index {node.copy_index} outside the {copies} available copies"
+            )
+        key = (node.copy_index, node.measurement.party)
+        if key in used:
+            raise MalformedProtocolError(
+                f"party {key[1]} measures copy {key[0]} twice on one path"
+            )
+        if len(node.children) != 2:
+            raise MalformedProtocolError("measure nodes need exactly two children")
+        for outcome, child in enumerate(node.children):
+            vectors.append(node.measurement.basis[outcome])
+            _walk(child, copies, used | {key}, path + (key + (outcome, len(vectors)),),
+                  vectors, leaves)
+        return
+    raise MalformedProtocolError(f"unknown node type {type(node).__name__}")
+
+
 def _compile(t: ProtocolTree) -> LeafTable:
     """Check the structural invariants and list the leaves in one walk."""
     if t.copies < 1:
         raise MalformedProtocolError("a protocol needs at least one copy")
-    vectors: list[np.ndarray] = []  # projector k + 1 is |vectors[k]><vectors[k]|
+    vectors: list[np.ndarray] = []
     leaves: list[tuple] = []  # (conclusion, ((copy, party, outcome, projector), ...))
-
-    def walk(node, used: frozenset, path: tuple):
-        if isinstance(node, Conclude):
-            if not 0 <= node.state_index < 4:
-                raise MalformedProtocolError(f"conclude index {node.state_index} out of range")
-            leaves.append((node.state_index, path))
-            return
-        if isinstance(node, Eliminate):
-            walk(node.child, used, path)
-            return
-        if isinstance(node, Measure):
-            if not 0 <= node.copy_index < t.copies:
-                raise MalformedProtocolError(
-                    f"copy index {node.copy_index} outside the {t.copies} available copies"
-                )
-            key = (node.copy_index, node.measurement.party)
-            if key in used:
-                raise MalformedProtocolError(
-                    f"party {key[1]} measures copy {key[0]} twice on one path"
-                )
-            if len(node.children) != 2:
-                raise MalformedProtocolError("measure nodes need exactly two children")
-            for outcome, child in enumerate(node.children):
-                vectors.append(node.measurement.basis[outcome])
-                walk(child, used | {key}, path + (key + (outcome, len(vectors)),))
-            return
-        raise MalformedProtocolError(f"unknown node type {type(node).__name__}")
-
-    walk(t.root, frozenset(), ())
+    _walk(t.root, t.copies, frozenset(), (), vectors, leaves)
     conclusions, paths = zip(*leaves)
     transcripts = tuple(tuple(step[:3] for step in path) for path in paths)
     flat = [(leaf, c, party == "B", k) for leaf, path in enumerate(paths) for c, party, _, k in path]
@@ -276,26 +284,28 @@ def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree
     """
     if copies < 3:
         raise ValueError("the four-candidate tournament needs at least 3 copies")
-    vecs = [k.amplitudes for k in b]
-    memo: dict[tuple, Node] = {}
+    root = _knockout([k.amplitudes for k in b], (0, 1, 2, 3), 0, {})
+    return ProtocolTree(copies=copies, root=root)
 
-    def build(candidates: tuple[int, ...], copy_index: int) -> Node:
-        key = (candidates, copy_index)
-        if key not in memo:
-            i, j = candidates[0], candidates[1]
 
-            def leaf(winner: str, i=i, j=j, candidates=candidates, copy_index=copy_index):
-                won = i if winner == "psi" else j
-                if len(candidates) == 2:
-                    return Conclude(won)
-                lost = j if won == i else i
-                rest = tuple(c for c in candidates if c != lost)
-                return Eliminate(lost, build(rest, copy_index + 1))
+def _knockout(vecs, candidates: tuple[int, ...], copy_index: int, memo: dict) -> Node:
+    """The tournament subtree from ``candidates`` on, round ``copy_index``;
+    ``memo`` shares equal subtrees.  Module-level, not a self-referencing
+    closure, so the finished tree is freed as soon as it is dropped."""
+    key = (candidates, copy_index)
+    if key not in memo:
+        i, j = candidates[0], candidates[1]
 
-            memo[key] = _pair_subtree(vecs[i], vecs[j], copy_index, leaf)
-        return memo[key]
+        def leaf(winner: str) -> Node:
+            won = i if winner == "psi" else j
+            if len(candidates) == 2:
+                return Conclude(won)
+            lost = j if won == i else i
+            rest = tuple(c for c in candidates if c != lost)
+            return Eliminate(lost, _knockout(vecs, rest, copy_index + 1, memo))
 
-    return ProtocolTree(copies=copies, root=build((0, 1, 2, 3), 0))
+        memo[key] = _pair_subtree(vecs[i], vecs[j], copy_index, leaf)
+    return memo[key]
 
 
 def bell_grouping_protocol(theta: float) -> ProtocolTree:
@@ -353,20 +363,54 @@ def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis) -> float:
     return float(np.mean(success_probabilities(t, b)))
 
 
-def sample_run(t: ProtocolTree, b: OrthonormalBasis, true_index: int, seed: int) -> RunOutcome:
-    """One Born-rule sampled execution with deterministic seeded randomness:
-    a single uniform draw picks the leaf."""
-    if not 0 <= true_index < 4:
-        raise ValueError(f"true_index {true_index} out of range")
+def seeded_uniforms(seeds) -> np.ndarray:
+    """One uniform in [0, 1) per seed in [0, 2**64): the top 53 bits of the
+    first SplitMix64 output for that seed (Steele, Lea and Flood, OOPSLA 2014).
+    Stateless, so each value depends on its own seed alone."""
+    z = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)) + _SPLITMIX_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_M1
+    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_M2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53  # exact: 53-bit integers convert without rounding
+
+
+def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices,
+                seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Born-rule sampled executions: run r prepares ``b[true_indices[r]]`` on
+    every copy and draws one leaf with the uniform of ``seeds[r]`` (integers in
+    [0, 2**64)).  Returns each run's index into ``t.leaves`` and that leaf's
+    exact probability given the run's input.
+
+    The leaf probabilities of the four basis states are computed once per
+    call, and a run's leaf depends only on its (input, seed) pair, so it is
+    the same whether the run is drawn alone or in any batch."""
+    states = np.atleast_1d(np.asarray(true_indices, dtype=np.intp))
+    bad = states[(states < 0) | (states >= 4)]
+    if bad.size:
+        raise ValueError(f"true_index {bad[0]} out of range")
     table = t.leaves
-    p = table.probabilities(b[true_index].amplitudes)
-    cum = np.cumsum(p)
+    p = table.probabilities(np.array([k.amplitudes for k in b]))  # (state, leaf)
+    cum = np.cumsum(p, axis=1)
     # u < 1 gives u * cum[-1] < cum[-1], and side="right" skips zero-probability leaves
-    leaf = int(np.searchsorted(cum, np.random.default_rng(seed).random() * cum[-1], side="right"))
+    target = seeded_uniforms(seeds) * cum[states, -1]
+    leaves = np.empty(states.shape, dtype=np.intp)
+    for s in np.unique(states):
+        runs = states == s
+        leaves[runs] = np.searchsorted(cum[s], target[runs], side="right")
+    return leaves, p[states, leaves]
+
+
+def sample_run(t: ProtocolTree, b: OrthonormalBasis, true_index: int, seed: int) -> RunOutcome:
+    """One run of `sample_runs`, with any non-negative integer seed taken
+    modulo 2**64."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    (leaf,), (prob,) = sample_runs(t, b, [true_index], [seed % 2**64])
+    table = t.leaves
     return RunOutcome(
         guessed_index=int(table.conclusions[leaf]),
         transcript=table.transcripts[leaf],
-        probability=float(p[leaf]),
+        probability=float(prob),
     )
 
 

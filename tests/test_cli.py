@@ -246,6 +246,19 @@ def test_simulate_rejects_negative_seed(capsys):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [2**70, 2**64 - 1])
+def test_simulate_accepts_seeds_beyond_64_bits(capsys, seed):
+    # 2**64 - 1 wraps to 0 after the first run
+    args = ("simulate", "--protocol", "tournament", "--family", "A",
+            "--alpha", "0.3", "--beta", "0.9", "--gamma", PI_4_TEXT,
+            "--runs", "8", "--seed", str(seed))
+    code, first = run_cli(capsys, *args)
+    assert code == 0
+    _, second = run_cli(capsys, *args)
+    assert first == second
+    assert json.loads(first)["seed"] == seed
+
+
 def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):
     monkeypatch.delenv("NONLOCAL_SEED", raising=False)
     build_parser.cache_clear()

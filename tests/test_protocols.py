@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qlocc import (
     protocol_from_json,
     protocol_to_json,
     sample_run,
+    sample_runs,
     success_probabilities,
     theta_basis,
     validate_basis,
@@ -26,7 +29,9 @@ from qlocc.protocols import (
     Conclude,
     Measure,
     ProtocolTree,
+    RunOutcome,
     outcome_distribution,
+    seeded_uniforms,
     transcript_to_csv,
     validate_tree,
 )
@@ -435,3 +440,77 @@ def test_unmeasured_copies_cost_nothing():
     b = theta_basis(0.7)
     assert abs(exact_success_probability(tree, b) - 0.25) < 1e-15
     assert sample_run(tree, b, 0, seed=5).guessed_index == 1
+
+
+# --- batched sampling ------------------------------------------------------------------
+
+def _splitmix64_uniform(seed):
+    """The first SplitMix64 output for ``seed``, top 53 bits, in Python ints."""
+    z = (seed + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return ((z ^ (z >> 31)) >> 11) / 2**53
+
+
+def test_seeded_uniforms_follow_splitmix64_in_unit_interval():
+    seeds = [0, 1, 2, 12345, 2**63, 2**64 - 2, 2**64 - 1]
+    u = seeded_uniforms(np.array(seeds, dtype=np.uint64))
+    assert u.tolist() == [_splitmix64_uniform(s) for s in seeds]
+    assert np.all((0.0 <= u) & (u < 1.0))
+
+
+def test_sample_run_is_one_run_of_sample_runs():
+    rng = np.random.default_rng(505)
+    tree = elimination_tournament(random_basis(rng))
+    b = random_basis(rng)  # a different basis, so the branches are random
+    states = rng.integers(0, 4, size=2000)
+    seeds = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+    leaves, probs = sample_runs(tree, b, states, seeds)
+    table = tree.leaves
+    for r in range(2000):
+        alone = sample_run(tree, b, int(states[r]), seed=int(seeds[r]))
+        assert alone == RunOutcome(int(table.conclusions[leaves[r]]),
+                                   table.transcripts[leaves[r]], float(probs[r]))
+
+
+def test_sample_runs_frequencies_match_born_rule_oracle():
+    rng = np.random.default_rng(606)
+    n = 200_000
+    cases = [
+        (elimination_tournament(random_basis(rng)), random_basis(rng)),
+        (_zz_guess_protocol(), theta_basis(PI_4)),  # half of its leaves have probability 0
+    ]
+    for tree, b in cases:
+        states = np.arange(n) % 4
+        leaves, _ = sample_runs(tree, b, states, np.arange(n, dtype=np.uint64) + 7)
+        transcripts = tree.leaves.transcripts
+        for s, k in enumerate(b):
+            oracle = born_rule_leaves(tree, k.amplitudes)
+            counts = np.bincount(leaves[states == s], minlength=len(transcripts))
+            runs = n // 4
+            for leaf, count in enumerate(counts):
+                if transcripts[leaf] not in oracle:
+                    assert count == 0
+                    continue
+                prob = oracle[transcripts[leaf]][1]
+                sigma = math.sqrt(prob * (1 - prob) / runs)
+                assert abs(count / runs - prob) <= 5 * sigma + 1e-12
+
+
+def test_sample_runs_rejects_bad_state_index():
+    b = theta_basis(PI_4)
+    with pytest.raises(ValueError, match="true_index 4 out of range"):
+        sample_runs(_zz_guess_protocol(), b, [0, 4], [1, 2])
+
+
+def test_trees_are_freed_without_the_cycle_collector():
+    b = random_basis(np.random.default_rng(707))
+    gc.collect()
+    gc.disable()
+    try:
+        tree = elimination_tournament(b)
+        refs = [weakref.ref(tree.root), weakref.ref(tree.leaves)]
+        del tree
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
