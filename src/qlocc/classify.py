@@ -22,28 +22,42 @@ State indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import codec
 from .entanglement import (
     CONCURRENCE_ZERO_TOL,
+    SEPARABILITY_TOL,
     SeparabilityCertificate,
-    concurrence,
-    pair_projector,
-    separability_certificate,
+    concurrence,  # not called here; bench/tracing.py wraps it by name
+    concurrences,
+    min_pt_eigenvalues,
+    pair_projector,  # not called here; bench/tracing.py wraps it by name
+    pair_projectors,
+    separability_certificate,  # not called here; bench/tracing.py wraps it by name
 )
-from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, coefficient_matrix,
-                     complement_pair)
+from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, check_orthonormal,
+                     coefficient_matrices, complement_pair)
+from .states import coefficient_matrix  # noqa: F401  re-exported: tests import it from here
 
 ANTIPARALLEL_IM_TOL = 1e-8
 DUAN_SUM_TOL = 1e-9
 REGION_BOUNDARY_TOL = 1e-9
 NEAR_FACTOR = 10.0  # boundary-warning windows reach out to 10x each decision tolerance
+BLOCK_SIZE = 256  # bases per kernel pass: bounds the temporaries of `decide`
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SPLITS = ((0, 1), (0, 2), (0, 3))  # each 2-vs-2 split, named by the pair holding 0
+_SPLIT_SIDES = ([PAIRS.index(s) for s in SPLITS],  # PAIRS indices of each split's pairs
+                [PAIRS.index(complement_pair(*s)) for s in SPLITS])
+_REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # the states other than l
+
+LOCC_KINDS = ("one_copy", "two_copy_elimination", "two_copy_pair_split", "three_copy")
+SEP_KINDS = ("all_product", "pair_split", "elimination", "locc_protocol", "none")
+_LOCC_COPIES = np.array([1, 2, 2, 3])
+_SEP_COPIES = np.array([1, 2, 2, 2, 3])
 
 ASSUMPTION_LOCC_ELIMINATION = (
     "a conclusive 1-vs-3 elimination on the first copy is taken to be "
@@ -75,8 +89,7 @@ class LoccCategory:
 
     @property
     def min_copies(self) -> int:
-        return {"one_copy": 1, "two_copy_elimination": 2,
-                "two_copy_pair_split": 2, "three_copy": 3}[self.kind]
+        return int(_LOCC_COPIES[LOCC_KINDS.index(self.kind)])
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,10 @@ class Region:
 
     name: str
     which: str | None = None
+
+
+REGIONS = (Region("R_I"), Region("R_II"), Region("R_III"), Region("R_IV"),
+           Region("boundary", "a3"), Region("boundary", "a4"), Region("boundary", "a3+a4"))
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,120 @@ class ClassificationReport:
     boundary_warnings: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Decisions:
+    """Every quantity and verdict of `decide`, one row per basis.
+
+    Index -1 means "none" in ``eliminated``, ``split`` and ``sep_eliminated``.
+    ``eliminated`` and ``split`` are the first candidates that pass whatever
+    the verdict.  Where no cheaper SEP witness exists, the SEP route checks
+    eliminations in index order up to the first that passes: ``duan_tried``
+    marks those, and ``duan_residual`` holds every concurrence-sum residual
+    of such a basis (0 elsewhere).
+    """
+
+    concurrences: np.ndarray  # (N, 4)
+    min_pt: np.ndarray  # (N, 6), pairs in PAIRS order
+    entangled_count: np.ndarray  # (N,)
+    locc_kind: np.ndarray  # (N,) index into LOCC_KINDS
+    eliminated: np.ndarray  # (N,) first state whose removal leaves <= 1 entangled
+    split: np.ndarray  # (N,) index into SPLITS of the first separable split
+    sep_kind: np.ndarray  # (N,) index into SEP_KINDS
+    sep_eliminated: np.ndarray  # (N,) the state eliminated by the SEP witness
+    duan_residual: np.ndarray  # (N, 4)
+    duan_tried: np.ndarray  # (N, 4) bool
+
+    @property
+    def min_copies_locc(self) -> np.ndarray:
+        return _LOCC_COPIES[self.locc_kind]
+
+    @property
+    def min_copies_sep(self) -> np.ndarray:
+        return _SEP_COPIES[self.sep_kind]
+
+
+def _first(ok: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis, or -1."""
+    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
+
+
+def _duan(cons: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separable-operations test for the three states other than each l
+    (whose orthocomplement is state l), from the concurrences (T, 4) and
+    coefficient matrices (T, 4, 2, 2) of all four.
+
+    Every entangled member of the three must have anti-parallel eigenvalues
+    against the complement's coefficient matrix, and their concurrences must
+    sum to the complement's; a product complement requires all three product.
+    Returns (ok, concurrence-sum residual), each (T, 4).
+    """
+    rest = cons[:, _REST]  # (T, 4, 3)
+    residual = rest[..., 0] + rest[..., 1] + rest[..., 2] - cons
+    product = cons < CONCURRENCE_ZERO_TOL
+    rest_product = rest < CONCURRENCE_ZERO_TOL
+    # a product complement gets the identity in place of its (singular) inverse
+    inv = np.linalg.inv(np.where(product[..., None, None], np.eye(2), mats))
+    lam = np.linalg.eigvals(mats[:, _REST] @ inv[:, :, None])  # (T, 4, 3, 2)
+    size = np.hypot(lam.real, lam.imag)
+    swap = size[..., 1] < size[..., 0]  # sort each pair by modulus, stably
+    with np.errstate(divide="ignore", invalid="ignore"):  # lanes of product states
+        ratio = np.where(swap, lam[..., 1] / lam[..., 0], lam[..., 0] / lam[..., 1])
+    anti = (np.abs(ratio.imag) < ANTIPARALLEL_IM_TOL) & (ratio.real < 0.0)
+    anti_ok = (anti | rest_product).all(axis=-1)
+    ok = np.where(product, rest_product.all(axis=-1),
+                  anti_ok & (np.abs(residual) < DUAN_SUM_TOL))
+    return ok, residual
+
+
+def decide(kets) -> Decisions:
+    """The classification kernel: every copy-count decision for a stack of
+    bases, given as canonical ket rows of shape (N, 4, 4), in one numpy pass
+    per block of BLOCK_SIZE bases.
+
+    Raises NotOrthonormalError for the first basis that is not orthonormal.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    if len(kets) > BLOCK_SIZE:
+        blocks = [decide(kets[s:s + BLOCK_SIZE]) for s in range(0, len(kets), BLOCK_SIZE)]
+        return Decisions(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                           for f in fields(Decisions)))
+    check_orthonormal(kets)
+    cons = concurrences(kets)
+    min_pt = min_pt_eigenvalues(pair_projectors(kets, PAIRS))
+
+    entangled = cons >= CONCURRENCE_ZERO_TOL
+    count = entangled.sum(axis=1)
+    eliminated = _first(count[:, None] - entangled <= 1)
+    separable = min_pt >= -SEPARABILITY_TOL
+    split = _first(separable[:, _SPLIT_SIDES[0]] & separable[:, _SPLIT_SIDES[1]])
+    # codes index LOCC_KINDS: one copy, elimination, pair split, three copies
+    locc_kind = np.where(count == 0, 0, np.where(eliminated >= 0, 1, np.where(split >= 0, 2, 3)))
+
+    # the SEP elimination route runs only where no cheaper witness exists
+    need = (count > 0) & (split < 0)
+    duan_ok = np.zeros(cons.shape, dtype=bool)
+    residual = np.zeros(cons.shape)
+    if need.any():
+        duan_ok[need], residual[need] = _duan(cons[need], coefficient_matrices(kets[need]))
+    passed = _first(duan_ok)
+    last_tried = np.where(passed >= 0, passed, 3)
+    # codes index SEP_KINDS; a 2-copy LOCC scheme is itself a separable scheme
+    fallback = np.where(_LOCC_COPIES[locc_kind] <= 2, 3, 4)
+    sep_kind = np.where(count == 0, 0, np.where(split >= 0, 1, np.where(passed >= 0, 2, fallback)))
+    return Decisions(
+        concurrences=cons,
+        min_pt=min_pt,
+        entangled_count=count,
+        locc_kind=locc_kind,
+        eliminated=eliminated,
+        split=split,
+        sep_kind=sep_kind,
+        sep_eliminated=passed,
+        duan_residual=residual,
+        duan_tried=need[:, None] & (np.arange(4) <= last_tried[:, None]),
+    )
+
+
 def locc_category(b: OrthonormalBasis) -> LoccCategory:
     """Case split deciding the adaptive-LOCC copy count for a basis."""
     return analyze(b).locc_category
@@ -136,29 +267,6 @@ def min_copies_adaptive_sep(b: OrthonormalBasis) -> int:
     return analyze(b).min_copies_sep
 
 
-def _duan_detail(cons, mats, l: int):
-    """Check SEP-distinguishability of the three states other than ``l``,
-    whose orthocomplement is state ``l``, from the concurrences ``cons`` and
-    coefficient matrices ``mats`` of all four.
-
-    Returns (ok, concurrence-sum residual); the residual feeds boundary warnings.
-    """
-    rest = [k for k in range(4) if k != l]
-    residual = sum(cons[k] for k in rest) - cons[l]
-    if cons[l] < CONCURRENCE_ZERO_TOL:
-        # singular complement: the sum condition forces all three product
-        return all(cons[k] < CONCURRENCE_ZERO_TOL for k in rest), residual
-    phi_inv = np.linalg.inv(mats[l])
-
-    def antiparallel(k: int) -> bool:
-        lam = sorted(np.linalg.eigvals(mats[k] @ phi_inv), key=abs)
-        ratio = lam[0] / lam[1]
-        return abs(ratio.imag) < ANTIPARALLEL_IM_TOL and ratio.real < 0.0
-
-    anti_ok = all(antiparallel(k) for k in rest if cons[k] >= CONCURRENCE_ZERO_TOL)
-    return anti_ok and abs(residual) < DUAN_SUM_TOL, residual
-
-
 def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
     """True iff three orthogonal states (complement given) are perfectly
     distinguishable by separable operations: every entangled member must have
@@ -167,8 +275,9 @@ def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
     kets = (*states, complement)
     if len(kets) != 4:
         raise ValueError("expected exactly 3 states")
-    return _duan_detail([concurrence(k) for k in kets],
-                        [coefficient_matrix(k) for k in kets], 3)[0]
+    amps = np.array([k.amplitudes for k in kets])
+    ok, _ = _duan(concurrences(amps)[None], coefficient_matrices(amps)[None])
+    return bool(ok[0, 3])
 
 
 def _surface_ratios(alpha: float, beta: float, message: str) -> tuple[float, float]:
@@ -184,11 +293,30 @@ def _surface_ratios(alpha: float, beta: float, message: str) -> tuple[float, flo
 
 
 def _surface_gaps(p: FamilyParams) -> tuple[float, float]:
-    """tan^2(gamma) minus each product-surface ratio (state 3's, then state 4's)."""
+    """tan^2(gamma) minus each product-surface ratio (state 3's, then state 4's),
+    as `region_grid` computes them."""
     t = math.tan(p.gamma) ** 2
     r_a3, r_a4 = _surface_ratios(p.alpha, p.beta,
                                  "region undefined for alpha or beta at 0 or pi/2")
     return t - r_a3, t - r_a4
+
+
+def region_grid(alphas, betas, gammas) -> np.ndarray:
+    """Indices into REGIONS for every point of the alpha x beta x gamma grid,
+    alpha-major, with -1 where alpha or beta sits at 0 or pi/2 (where the
+    sin(2 alpha)/sin(2 beta) ratios degenerate).  The sines and tangents are
+    taken once per axis value."""
+    s2a = np.array([math.sin(2 * a) for a in alphas])[:, None, None]
+    s2b = np.array([math.sin(2 * b) for b in betas])[None, :, None]
+    t = np.array([math.tan(g) ** 2 for g in gammas])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate cells
+        g3, g4 = t - s2b / s2a, t - s2a / s2b  # gaps to state 3's and state 4's surface
+    on_a3 = np.abs(g3) < REGION_BOUNDARY_TOL
+    on_a4 = np.abs(g4) < REGION_BOUNDARY_TOL
+    off = np.where((g3 <= 0.0) & (0.0 <= g4), 0, np.where(
+        (g4 <= 0.0) & (0.0 <= g3), 1, np.where(np.minimum(g3, g4) >= 0.0, 2, 3)))
+    index = np.where(on_a3, np.where(on_a4, 6, 4), np.where(on_a4, 5, off))
+    return np.where(np.minimum(s2a, s2b) < 1e-12, -1, index).reshape(-1)
 
 
 def region(p: FamilyParams) -> Region:
@@ -197,22 +325,10 @@ def region(p: FamilyParams) -> Region:
     Raises DegenerateFamilyError when alpha or beta sits at 0 or pi/2, where
     sin(2 alpha)/sin(2 beta) ratios degenerate.
     """
-    g3, g4 = _surface_gaps(p)
-    on_a3 = abs(g3) < REGION_BOUNDARY_TOL
-    on_a4 = abs(g4) < REGION_BOUNDARY_TOL
-    if on_a3 and on_a4:
-        return Region("boundary", "a3+a4")
-    if on_a3:
-        return Region("boundary", "a3")
-    if on_a4:
-        return Region("boundary", "a4")
-    if g3 <= 0.0 <= g4:
-        return Region("R_I")
-    if g4 <= 0.0 <= g3:
-        return Region("R_II")
-    if min(g3, g4) >= 0.0:
-        return Region("R_III")
-    return Region("R_IV")
+    (index,) = region_grid([p.alpha], [p.beta], [p.gamma]).tolist()
+    if index < 0:
+        raise DegenerateFamilyError("region undefined for alpha or beta at 0 or pi/2")
+    return REGIONS[index]
 
 
 def gamma_star(alpha: float, beta: float) -> float:
@@ -227,13 +343,13 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
     certificates, LOCC and SEP copy counts, and (for three-angle family
     inputs) the parameter region.
 
-    The concurrences, coefficient matrices and certificates are computed once
-    here; every verdict, witness, assumption and boundary warning reads them.
+    This is the one-basis view of `decide`: every verdict, witness,
+    assumption and boundary warning reads that kernel's row.
     """
     reg = region(p) if p is not None else None
-    cons = [concurrence(k) for k in b]
-    mats = [coefficient_matrix(k) for k in b]
-    certs = {(i, j): separability_certificate(pair_projector(b, i, j)) for i, j in PAIRS}
+    d = decide(b.matrix()[None])
+    cons = d.concurrences[0].tolist()
+    min_pt = d.min_pt[0].tolist()
 
     warnings = [
         f"concurrence {c:.3e} of state {k} is within 10x of the product threshold"
@@ -241,10 +357,10 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
         if 0.1 * CONCURRENCE_ZERO_TOL <= c < NEAR_FACTOR * CONCURRENCE_ZERO_TOL
     ]
     warnings += [
-        f"min PT eigenvalue {cert.min_pt_eigenvalue:.3e} of pair ({i},{j}) "
+        f"min PT eigenvalue {m:.3e} of pair ({i},{j}) "
         f"is within 10x of the separability threshold"
-        for (i, j), cert in certs.items()
-        if -NEAR_FACTOR * cert.tolerance <= cert.min_pt_eigenvalue <= -0.1 * cert.tolerance
+        for (i, j), m in zip(PAIRS, min_pt)
+        if -NEAR_FACTOR * SEPARABILITY_TOL <= m <= -0.1 * SEPARABILITY_TOL
     ]
     if p is not None:
         warnings += [
@@ -252,55 +368,42 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
             for g in _surface_gaps(p)
             if REGION_BOUNDARY_TOL <= abs(g) < NEAR_FACTOR * REGION_BOUNDARY_TOL
         ]
+    warnings += [
+        f"concurrence-sum residual {r:.3e} for elimination of "
+        f"state {l} is within 10x of tolerance"
+        for l, (r, tried) in enumerate(zip(d.duan_residual[0].tolist(), d.duan_tried[0]))
+        if tried and DUAN_SUM_TOL <= abs(r) < NEAR_FACTOR * DUAN_SUM_TOL
+    ]
 
-    entangled = [c >= CONCURRENCE_ZERO_TOL for c in cons]
-    entangled_count = sum(entangled)
-    eliminated = next((l for l in range(4) if entangled_count - entangled[l] <= 1), None)
-    split = next((s for s in SPLITS if certs[s].is_separable
-                  and certs[complement_pair(*s)].is_separable), None)
-    assumptions: list[str] = []
-    if entangled_count == 0:
-        cat = LoccCategory("one_copy")
-    elif eliminated is not None:
-        cat = LoccCategory("two_copy_elimination", eliminated=eliminated)
+    kind, split = LOCC_KINDS[d.locc_kind[0]], int(d.split[0])
+    cat = LoccCategory(
+        kind,
+        eliminated=int(d.eliminated[0]) if kind == "two_copy_elimination" else None,
+        pair=SPLITS[split] if kind == "two_copy_pair_split" else None,
+    )
+    sep_kind = SEP_KINDS[d.sep_kind[0]]
+    sep_wit = SepWitness(
+        sep_kind,
+        eliminated=int(d.sep_eliminated[0]) if sep_kind == "elimination" else None,
+        pair=SPLITS[split] if sep_kind == "pair_split" else None,
+    )
+    assumptions = []
+    if kind == "two_copy_elimination":
         assumptions.append(ASSUMPTION_LOCC_ELIMINATION)
-    elif split is not None:
-        cat = LoccCategory("two_copy_pair_split", pair=split)
-    else:
-        cat = LoccCategory("three_copy")
-
-    if entangled_count == 0:
-        sep_copies, sep_wit = 1, SepWitness("all_product")
-    elif split is not None:
-        sep_copies, sep_wit = 2, SepWitness("pair_split", pair=split)
-    else:
-        for l in range(4):
-            ok, residual = _duan_detail(cons, mats, l)
-            if DUAN_SUM_TOL <= abs(residual) < NEAR_FACTOR * DUAN_SUM_TOL:
-                warnings.append(
-                    f"concurrence-sum residual {residual:.3e} for elimination of "
-                    f"state {l} is within 10x of tolerance"
-                )
-            if ok:
-                sep_copies, sep_wit = 2, SepWitness("elimination", eliminated=l)
-                assumptions.append(ASSUMPTION_SEP_ELIMINATION)
-                break
-        else:
-            if cat.min_copies <= 2:
-                # any 2-copy LOCC scheme is itself a separable scheme
-                sep_copies, sep_wit = 2, SepWitness("locc_protocol")
-            else:
-                sep_copies, sep_wit = 3, SepWitness("none")
+    if sep_kind == "elimination":
+        assumptions.append(ASSUMPTION_SEP_ELIMINATION)
 
     return ClassificationReport(
         label=b.label,
         concurrences=tuple(cons),
-        entangled_count=entangled_count,
+        entangled_count=int(d.entangled_count[0]),
         locc_category=cat,
         min_copies_locc=cat.min_copies,
-        min_copies_sep=sep_copies,
+        min_copies_sep=int(d.min_copies_sep[0]),
         sep_witness=sep_wit,
-        certificates=tuple(certs.items()),
+        certificates=tuple(
+            (pair, SeparabilityCertificate(m, m >= -SEPARABILITY_TOL))
+            for pair, m in zip(PAIRS, min_pt)),
         region=reg,
         params=p,
         assumptions=tuple(assumptions),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -18,14 +17,18 @@ import numpy as np
 
 from . import codec
 from .classify import (
-    DegenerateFamilyError,
+    PAIRS,
+    REGIONS,
     FamilyParams,
     analyze,
-    region,
+    decide,
+    region,  # not called here; bench/tracing.py wraps qlocc.cli.region by name
+    region_grid,
     report_to_json,
 )
 from .entanglement import pt_spectrum_p12_closed
 from .protocols import (
+    basis_leaf_probabilities,
     bell_grouping_protocol,
     elimination_tournament,
     exact_success_probability,
@@ -41,7 +44,8 @@ from .secretshare import (
     strong_pair_shares,
     strong_pair_to_json,
 )
-from .states import OrthonormalBasis, a_basis, basis_from_json, theta_basis
+from .states import (OrthonormalBasis, a_basis, basis_from_json, check_angle, family_a_kets,
+                     theta_basis, theta_kets)
 
 SCAN_COLUMNS = (
     "family", "theta", "alpha", "beta", "gamma",
@@ -50,6 +54,9 @@ SCAN_COLUMNS = (
     "min_pt_01", "min_pt_02", "min_pt_03", "min_pt_12", "min_pt_13", "min_pt_23",
     "min_copies_locc", "min_copies_sep",
 )
+# scan's region column: REGIONS by index, then index -1 for alpha or beta at 0 or pi/2
+REGION_LABELS = tuple(r.name if r.which is None else f"{r.name}:{r.which}"
+                      for r in REGIONS) + ("degenerate",)
 
 
 def _fmt(x: float) -> str:
@@ -77,25 +84,28 @@ def _parse_range(text: str, degrees: bool) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _family_params(args, angles) -> list[FamilyParams]:
-    """Every point the family flags name, alpha-major; ``angles`` turns one
-    flag value into its list of radians."""
+def _family_axes(args, angles) -> dict[str, list[float]]:
+    """The angle list of each flag the family needs (alpha, beta, gamma for
+    family A; theta for the theta family), every angle checked to lie in
+    [0, pi/2]; ``angles`` turns one flag value into its list of radians."""
     if args.family == "A":
         if args.alpha is None or args.beta is None or args.gamma is None:
             raise ValueError("family A needs --alpha, --beta and --gamma")
-        grid = itertools.product(angles(args.alpha), angles(args.beta), angles(args.gamma))
-        return [FamilyParams(alpha=al, beta=be, gamma=ga) for al, be, ga in grid]
-    if args.family == "theta":
+        names = ("alpha", "beta", "gamma")
+    elif args.family == "theta":
         if args.theta is None:
             raise ValueError("family theta needs --theta")
-        return [FamilyParams(theta=th) for th in angles(args.theta)]
-    other = " or --basis-file" if "basis_file" in args else ""
-    raise ValueError("specify --family {A,theta}" + other)
+        names = ("theta",)
+    else:
+        other = " or --basis-file" if "basis_file" in args else ""
+        raise ValueError("specify --family {A,theta}" + other)
+    axes = {name: angles(getattr(args, name)) for name in names}
+    return {name: [check_angle(name, v) for v in axis] for name, axis in axes.items()}
 
 
 def _point(args) -> FamilyParams:
-    (p,) = _family_params(args, lambda v: [_angle(v, args.degrees)])
-    return p
+    axes = _family_axes(args, lambda v: [_angle(v, args.degrees)])
+    return FamilyParams(**{name: axis[0] for name, axis in axes.items()})
 
 
 def _basis_from_args(args) -> tuple[OrthonormalBasis, FamilyParams | None]:
@@ -112,30 +122,42 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _scan_row(family: str, p: FamilyParams) -> dict[str, str]:
-    """One CSV row; columns that do not apply to the family stay empty."""
-    row = dict.fromkeys(SCAN_COLUMNS, "")
-    row["family"] = family
+def _pick(strings, index) -> list[str]:
+    return np.array(strings, dtype=object)[index].tolist()
+
+
+def _scan_table(family: str, axes: dict[str, list[float]]) -> dict[str, list[str]]:
+    """Every scan column as one string per grid point (alpha-major); columns
+    that do not apply to the family stay empty.  The kernel decides the whole
+    grid; each distinct axis value and (alpha, beta) pair is formatted once."""
     if family == "A":
-        rep = analyze(a_basis(p))
-        try:
-            reg = region(p)
-            row["region"] = reg.name if reg.which is None else f"{reg.name}:{reg.which}"
-        except DegenerateFamilyError:
-            row["region"] = "degenerate"
-        row.update(alpha=_fmt(p.alpha), beta=_fmt(p.beta), gamma=_fmt(p.gamma))
-        for k, e in enumerate(pt_spectrum_p12_closed(p.alpha, p.beta)):
-            row[f"e{k + 1}_p12"] = _fmt(float(e))
+        al, be, ga = axes["alpha"], axes["beta"], axes["gamma"]
+        kets = family_a_kets(al, be, ga)
     else:
-        rep = analyze(theta_basis(p.theta))
-        row["theta"] = _fmt(p.theta)
-    for k, c in enumerate(rep.concurrences):
-        row[f"c{k + 1}"] = _fmt(c)
-    for (i, j), cert in rep.certificates:
-        row[f"min_pt_{i}{j}"] = _fmt(cert.min_pt_eigenvalue)
-    row.update(entangled_count=str(rep.entangled_count),
-               min_copies_locc=str(rep.min_copies_locc), min_copies_sep=str(rep.min_copies_sep))
-    return row
+        kets = theta_kets(axes["theta"])
+    d = decide(kets)
+    n = len(kets)
+    table = dict.fromkeys(SCAN_COLUMNS, [""] * n)
+    table["family"] = [family] * n
+    if family == "A":
+        ia, ib, ig = np.unravel_index(np.arange(n), (len(al), len(be), len(ga)))
+        for name, axis, index in (("alpha", al, ia), ("beta", be, ib), ("gamma", ga, ig)):
+            table[name] = _pick([_fmt(v) for v in axis], index)
+        table["region"] = _pick(REGION_LABELS, region_grid(al, be, ga))
+        spectra = [pt_spectrum_p12_closed(a, b).tolist() for a in al for b in be]
+        for k in range(4):
+            table[f"e{k + 1}_p12"] = _pick([_fmt(e[k]) for e in spectra], ia * len(be) + ib)
+    else:
+        table["theta"] = [_fmt(t) for t in axes["theta"]]
+    for k, column in enumerate(d.concurrences.T.tolist()):
+        table[f"c{k + 1}"] = [_fmt(c) for c in column]
+    for (i, j), column in zip(PAIRS, d.min_pt.T.tolist()):
+        table[f"min_pt_{i}{j}"] = [_fmt(m) for m in column]
+    for name, values in (("entangled_count", d.entangled_count),
+                         ("min_copies_locc", d.min_copies_locc),
+                         ("min_copies_sep", d.min_copies_sep)):
+        table[name] = [str(v) for v in values.tolist()]
+    return table
 
 
 def cmd_scan(args) -> int:
@@ -143,10 +165,10 @@ def cmd_scan(args) -> int:
     unknown = [c for c in columns if c not in SCAN_COLUMNS]
     if unknown:
         raise ValueError(f"unknown columns: {', '.join(unknown)}")
-    points = _family_params(args, lambda text: _parse_range(text, args.degrees))
-    rows = [_scan_row(args.family, p) for p in points]
+    axes = _family_axes(args, lambda text: _parse_range(text, args.degrees))
+    table = _scan_table(args.family, axes)
     lines = ["# scan.v1 columns: " + ",".join(SCAN_COLUMNS), ",".join(columns)]
-    lines += [",".join(row[c] for c in columns) for row in rows]
+    lines += map(",".join, zip(*(table[c] for c in columns)))
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -191,11 +213,12 @@ def cmd_simulate(args) -> int:
         basis, tree = theta_basis(theta), bell_grouping_protocol(theta)
     else:
         raise ValueError("bell-grouping needs --family theta --theta VALUE")
-    exact = exact_success_probability(tree, basis)
+    leaf_probs = basis_leaf_probabilities(tree, basis)  # shared by both evaluations
+    exact = exact_success_probability(tree, basis, leaf_probs)
     states = np.arange(args.runs) % 4  # run r prepares state r % 4
     # and draws with seed (seed + r) mod 2**64: uint64 addition wraps
     seeds = np.arange(args.runs, dtype=np.uint64) + np.uint64(seed % 2**64)
-    leaves, _ = sample_runs(tree, basis, states, seeds)
+    leaves, _ = sample_runs(tree, basis, states, seeds, leaf_probs)
     hits = states[tree.leaves.conclusions[leaves] == states]
     per_state = np.bincount(hits, minlength=4).tolist()
     successes = sum(per_state)

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    adjoint,
     det2,
-    hermitian_eigenvalues,
+    hermitian_eigenvalues,  # not called here; bench/tracing.py wraps it by name
     is_hermitian,
     normalize,
-    outer,
     partial_transpose,
 )
-from .states import BipartiteKet, OrthonormalBasis, coefficient_matrix
+from .states import BipartiteKet, OrthonormalBasis, coefficient_matrices
 
 CONCURRENCE_ZERO_TOL = 1e-9
 SEPARABILITY_TOL = 1e-9
@@ -52,10 +52,17 @@ class ProductDecomposition:
     overlap: float  # |<eta0|eta1>|; 1 when the branches coincide
 
 
+def concurrences(kets) -> np.ndarray:
+    """|det M| of the coefficient matrix of each amplitude vector in a stack
+    (..., 4)."""
+    d = det2(coefficient_matrices(kets))
+    return np.hypot(np.real(d), np.imag(d))  # abs() of a complex scalar, bit for bit
+
+
 def concurrence(k: BipartiteKet) -> float:
     """Entanglement of a two-qubit pure state: |det M| for the coefficient
     matrix M. Ranges over [0, 1]; 0 means product, 1 maximally entangled."""
-    return float(abs(det2(coefficient_matrix(k))))
+    return float(concurrences(k.amplitudes))
 
 
 def product_decomposition(k: BipartiteKet) -> ProductDecomposition:
@@ -80,22 +87,54 @@ def product_decomposition(k: BipartiteKet) -> ProductDecomposition:
     return ProductDecomposition(eta0, eta1, n0, n1, is_product, overlap)
 
 
+def pair_projectors(kets, pairs) -> np.ndarray:
+    """Rank-2 projectors onto span{kets[i], kets[j]} for each (i, j) in
+    ``pairs``, from ket rows of shape (..., 4, 4); shape (..., len(pairs), 4, 4)."""
+    kets = np.asarray(kets, dtype=complex)
+    outer = kets[..., :, None] * kets.conj()[..., None, :]  # |k><k| per ket
+    i, j = np.array(pairs).T
+    p = outer[..., i, :, :]
+    p += outer[..., j, :, :]
+    return p
+
+
 def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False) -> np.ndarray:
     """Rank-2 projector onto span{states[i], states[j]} (or its orthocomplement)."""
     if i == j:
         raise ValueError("pair projector needs two distinct states")
-    p = outer(b[i].amplitudes) + outer(b[j].amplitudes)
+    p = pair_projectors(b.matrix(), [(i, j)])[0]
     return np.eye(4, dtype=complex) - p if complement else p
+
+
+def min_pt_eigenvalues(ops) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of each operator in a stack
+    (..., 4, 4), from one eigvalsh over the operators and their partial
+    transposes together.
+
+    Raises ValueError unless every operator is Hermitian (so is its partial
+    transpose: m - m^dagger and its partial transpose hold the same entries)
+    and positive semidefinite.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if not is_hermitian(ops):
+        raise ValueError("operator is not Hermitian")
+    k = ops.shape[-3]
+    # assembled in place: fewer large temporaries keep a scan's peak memory down
+    stack = np.empty((*ops.shape[:-3], 2 * k, 4, 4), dtype=complex)
+    stack[..., :k, :, :] = ops
+    pt = stack[..., k:, :, :]
+    pt[...] = partial_transpose(ops)
+    pt += adjoint(pt)  # 0.5 * (pt + pt^dagger), as hermitian_eigenvalues symmetrizes
+    pt *= 0.5
+    spectra = np.linalg.eigvalsh(stack)
+    if np.any(spectra[..., :k, 0] < -PSD_ATOL):
+        raise ValueError("operator is not positive semidefinite")
+    return spectra[..., k:, 0]
 
 
 def separability_certificate(m) -> SeparabilityCertificate:
     """PPT certificate for a Hermitian PSD operator on two qubits."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("operator is not Hermitian")
-    if float(np.linalg.eigvalsh(m)[0]) < -PSD_ATOL:
-        raise ValueError("operator is not positive semidefinite")
-    min_pt = float(hermitian_eigenvalues(partial_transpose(m))[0])
+    min_pt = float(min_pt_eigenvalues(np.asarray(m, dtype=complex)[None])[0])
     return SeparabilityCertificate(
         min_pt_eigenvalue=min_pt,
         is_separable=min_pt >= -SEPARABILITY_TOL,

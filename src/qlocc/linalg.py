@@ -3,6 +3,10 @@
 Index convention used everywhere in this package: a two-qubit amplitude
 vector stores the coefficient of |i>_A |j>_B at position 2*i + j, so the
 computational basis is ordered (|00>, |01>, |10>, |11>).
+
+The array functions below also take stacks (leading axes) and give each
+member the same bits as a call on that member alone, so batched and
+single-basis results agree exactly.
 """
 
 from __future__ import annotations
@@ -54,21 +58,39 @@ def outer(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def vector_norms(v) -> np.ndarray:
+    """Euclidean norm over the last axis, summed as np.linalg.norm sums one
+    complex vector: the real parts' squares plus the imaginary parts'."""
+    v = np.asarray(v, dtype=complex)
+    re, im = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    return np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
+
+
+def adjoint(m) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
+
+
 def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
+    """True iff the matrix (every matrix of a stack) is Hermitian within atol."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) < atol)
+    return bool(np.max(np.abs(m - adjoint(m))) < atol)
 
 
 def partial_transpose(m) -> np.ndarray:
-    """Transpose on the second tensor factor of a 4x4 operator.
+    """Transpose on the second tensor factor of a 4x4 operator (or of each
+    operator in a stack).
 
     Entry ((i,j),(k,l)) moves to ((i,l),(k,j)); the map is involutive and
     preserves trace and Hermiticity.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    lead = m.shape[:-2]
+    axes = tuple(range(len(lead)))
+    return m.reshape(*lead, 2, 2, 2, 2).transpose(
+        *axes, *(len(lead) + k for k in (0, 3, 2, 1))).reshape(m.shape)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -80,27 +102,36 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian")
     # symmetrize away the (sub-tolerance) anti-Hermitian part before solving
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
 
 
-def canonical_phase(v) -> tuple[np.ndarray, complex]:
-    """Rotate the global phase so the first amplitude above PHASE_FLOOR is
-    real positive.
+def canonical_phase(v) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the global phase of a vector (or of each vector along the last
+    axis) so its first amplitude above PHASE_FLOOR is real positive.
 
-    Returns (canonical vector, phase) with v = phase * canonical.
+    Returns (canonical, phase) with v = phase[..., None] * canonical; a
+    vector with no amplitude above the floor keeps phase 1.
     """
     v = np.asarray(v, dtype=complex)
-    for c in v:
-        if abs(c) > PHASE_FLOOR:
-            phase = c / abs(c)
-            return v * phase.conjugate(), phase
-    return v.copy(), 1.0 + 0.0j
+    mag = np.hypot(v.real, v.imag)  # abs() of a complex scalar, bit for bit
+    big = mag > PHASE_FLOOR
+    lead = (*np.indices(v.shape[:-1], sparse=True), np.argmax(big, axis=-1))
+    found = big[lead]
+    phase = np.where(found, v[lead] / np.where(found, mag[lead], 1.0), 1.0)
+    return np.where(found[..., None], v * phase.conj()[..., None], v), phase
 
 
-def det2(m) -> complex:
-    """Determinant of a 2x2 matrix."""
+def det2(m):
+    """Determinant of a 2x2 matrix (or of each in a stack (..., 2, 2)).
+
+    Written out in real arithmetic, the way a complex scalar multiplies, so
+    a stack gives each matrix the bits of a call on that matrix alone.
+    """
     m = np.asarray(m, dtype=complex)
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return (re + 1j * im)[()]
 
 
 def orthogonal_complement_qubit(u) -> np.ndarray:

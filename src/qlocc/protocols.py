@@ -351,16 +351,23 @@ def outcome_distribution(t: ProtocolTree, initial: np.ndarray) -> np.ndarray:
     return np.bincount(table.conclusions, weights=p, minlength=4)
 
 
-def success_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
-    """P(conclude = i | input state i) for each of the four basis states."""
-    table = t.leaves
-    p = table.probabilities(np.array([k.amplitudes for k in b]))  # (state, leaf)
-    return np.where(table.conclusions == np.arange(4)[:, None], p, 0.0).sum(axis=1)
+def basis_leaf_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
+    """Exact leaf probabilities of the four basis states, shape (4, L)."""
+    return t.leaves.probabilities(b.matrix())
 
 
-def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis) -> float:
+def success_probabilities(t: ProtocolTree, b: OrthonormalBasis,
+                          leaf_probs: np.ndarray | None = None) -> np.ndarray:
+    """P(conclude = i | input state i) for each of the four basis states;
+    ``leaf_probs`` is `basis_leaf_probabilities(t, b)` when already known."""
+    p = basis_leaf_probabilities(t, b) if leaf_probs is None else leaf_probs
+    return np.where(t.leaves.conclusions == np.arange(4)[:, None], p, 0.0).sum(axis=1)
+
+
+def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis,
+                              leaf_probs: np.ndarray | None = None) -> float:
     """Average success under the uniform prior: (1/4) sum_i P(i | i)."""
-    return float(np.mean(success_probabilities(t, b)))
+    return float(np.mean(success_probabilities(t, b, leaf_probs)))
 
 
 def seeded_uniforms(seeds) -> np.ndarray:
@@ -374,22 +381,22 @@ def seeded_uniforms(seeds) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53  # exact: 53-bit integers convert without rounding
 
 
-def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices,
-                seeds) -> tuple[np.ndarray, np.ndarray]:
+def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices, seeds,
+                leaf_probs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Born-rule sampled executions: run r prepares ``b[true_indices[r]]`` on
     every copy and draws one leaf with the uniform of ``seeds[r]`` (integers in
     [0, 2**64)).  Returns each run's index into ``t.leaves`` and that leaf's
     exact probability given the run's input.
 
     The leaf probabilities of the four basis states are computed once per
-    call, and a run's leaf depends only on its (input, seed) pair, so it is
-    the same whether the run is drawn alone or in any batch."""
+    call (or passed in as ``leaf_probs``, `basis_leaf_probabilities(t, b)`),
+    and a run's leaf depends only on its (input, seed) pair, so it is the
+    same whether the run is drawn alone or in any batch."""
     states = np.atleast_1d(np.asarray(true_indices, dtype=np.intp))
     bad = states[(states < 0) | (states >= 4)]
     if bad.size:
         raise ValueError(f"true_index {bad[0]} out of range")
-    table = t.leaves
-    p = table.probabilities(np.array([k.amplitudes for k in b]))  # (state, leaf)
+    p = basis_leaf_probabilities(t, b) if leaf_probs is None else leaf_probs
     cum = np.cumsum(p, axis=1)
     # u < 1 gives u * cum[-1] < cum[-1], and side="right" skips zero-probability leaves
     target = seeded_uniforms(seeds) * cum[states, -1]

@@ -26,7 +26,7 @@ from .entanglement import SeparabilityCertificate, pair_projector, separability_
 from .linalg import hermitian_eigenvalues, outer
 from .protocols import elimination_tournament, outcome_distribution
 from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
-                     complement_pair)
+                     complement_pair, kets_from_vectors)
 
 PARTY_ASSIGNMENT = ("A1", "B1", "A2", "B2", "A3", "B3")
 
@@ -167,7 +167,7 @@ def share_set_from_json(text: str):
     copies = codec.complex_array(doc, "copies", (3, 4))
     share = ShareSet(
         message=codec.field(doc, "message", int),
-        copies=tuple(BipartiteKet(v) for v in copies),  # type: ignore[arg-type]
+        copies=kets_from_vectors(copies),  # type: ignore[arg-type]
         party_assignment=tuple(codec.items(doc, "party_assignment", str)),
         security_warning=codec.field(doc, "security_warning", (str, type(None)), default=None),
     )

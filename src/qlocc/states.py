@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .linalg import as_complex_vector, canonical_phase
+from .linalg import as_complex_vector, canonical_phase, vector_norms
 
 GRAM_ATOL = 1e-10
 
@@ -41,7 +41,8 @@ class NotOrthonormalError(ValueError):
         )
 
 
-def _check_angle(name: str, value: float) -> float:
+def check_angle(name: str, value: float) -> float:
+    """``value`` as a float, or ValueError unless it lies in [0, pi/2]."""
     value = float(value)
     if not (0.0 <= value <= math.pi / 2 + 1e-15):
         raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
@@ -59,7 +60,7 @@ class FamilyParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "theta"):
-            object.__setattr__(self, name, _check_angle(name, getattr(self, name)))
+            object.__setattr__(self, name, check_angle(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,19 @@ class BipartiteKet:
     phase: complex = field(default=1.0 + 0.0j)
 
     def __post_init__(self):
-        v = as_complex_vector(self.amplitudes, 4)
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"ket norm {n} is not 1")
-        v = v / n
-        v, extra = canonical_phase(v)
+        v, extra = canonical_kets(as_complex_vector(self.amplitudes, 4))
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
-        object.__setattr__(self, "phase", complex(self.phase) * extra)
+        object.__setattr__(self, "phase", complex(self.phase) * extra[()])
+
+    @classmethod
+    def _canonical(cls, amplitudes: np.ndarray, phase) -> "BipartiteKet":
+        """A ket from a row `canonical_kets` already normalized and
+        canonicalized (read-only), with the phase it removed."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "amplitudes", amplitudes)
+        object.__setattr__(k, "phase", complex(1.0 + 0.0j) * phase)
+        return k
 
     @classmethod
     def from_unnormalized(cls, values) -> "BipartiteKet":
@@ -112,15 +117,10 @@ class OrthonormalBasis:
         if len(self.states) != 4:
             raise ValueError("a basis needs exactly 4 states")
         object.__setattr__(self, "states", tuple(self.states))
-        g = self.gram()
-        dev = np.abs(g - np.eye(4))
-        i, j = np.unravel_index(int(np.argmax(dev)), (4, 4))
-        if dev[i, j] >= GRAM_ATOL:
-            raise NotOrthonormalError(int(i), int(j), float(dev[i, j]))
+        check_orthonormal(self.matrix())
 
     def gram(self) -> np.ndarray:
-        m = self.matrix()
-        return m.conj() @ m.T
+        return gram(self.matrix())
 
     def matrix(self) -> np.ndarray:
         """4x4 array whose rows are the state amplitudes."""
@@ -133,12 +133,54 @@ class OrthonormalBasis:
         return self.states[i]
 
 
+def canonical_kets(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each ket of a stack (..., 4) and canonicalize its global
+    phase, as BipartiteKet does for one; returns (kets, removed phases).
+
+    Raises ValueError when a norm is off 1 by more than 1e-9.
+    """
+    n = vector_norms(vectors)
+    off = ~(np.abs(n - 1.0) <= 1e-9)  # NaN and Inf included
+    if off.any():
+        raise ValueError(f"ket norm {n[off][0]} is not 1")
+    return canonical_phase(vectors / n[..., None])
+
+
+def gram(kets) -> np.ndarray:
+    """Overlaps <k_i|k_j> of the ket rows of a matrix (or of each in a stack)."""
+    return kets.conj() @ np.swapaxes(kets, -1, -2)
+
+
+def check_orthonormal(kets) -> None:
+    """Raise NotOrthonormalError for the first basis in a stack (..., 4, 4)
+    of ket rows whose Gram matrix is off the identity by GRAM_ATOL or more,
+    naming its worst entry."""
+    dev = np.abs(gram(kets) - np.eye(4)).reshape(-1, 16)
+    bad = np.flatnonzero(dev.max(axis=1) >= GRAM_ATOL)
+    if bad.size:
+        worst = int(np.argmax(dev[bad[0]]))
+        raise NotOrthonormalError(*divmod(worst, 4), float(dev[bad[0], worst]))
+
+
 def validate_basis(kets, label: str = "custom") -> OrthonormalBasis:
     """Build an OrthonormalBasis from four kets, or raise NotOrthonormalError."""
     kets = tuple(kets)
     if len(kets) != 4:
         raise ValueError(f"expected 4 kets, got {len(kets)}")
     return OrthonormalBasis(states=kets, label=label)
+
+
+def kets_from_vectors(vectors) -> tuple[BipartiteKet, ...]:
+    """One ket per amplitude vector (rows of an (n, 4) array), normalized and
+    canonicalized in one pass; each equals BipartiteKet of its row."""
+    kets, phases = canonical_kets(np.asarray(vectors, dtype=complex))
+    kets.setflags(write=False)
+    return tuple(BipartiteKet._canonical(k, p) for k, p in zip(kets, phases))
+
+
+def basis_from_vectors(vectors, label: str) -> OrthonormalBasis:
+    """The basis of four amplitude vectors (rows of a 4x4 array)."""
+    return validate_basis(kets_from_vectors(vectors), label)
 
 
 def complement_pair(i: int, j: int) -> tuple[int, int]:
@@ -149,51 +191,89 @@ def complement_pair(i: int, j: int) -> tuple[int, int]:
     return rest[0], rest[1]
 
 
-def _theta_vectors(theta: float) -> list[np.ndarray]:
-    s, c = math.sin(theta), math.cos(theta)
-    return [
-        np.array([s, 0, 0, c], dtype=complex),
-        np.array([c, 0, 0, -s], dtype=complex),
-        np.array([0, s, c, 0], dtype=complex),
-        np.array([0, c, -s, 0], dtype=complex),
-    ]
+def _theta_rows(s, c) -> np.ndarray:
+    """Raw theta-family vectors, shape (..., 4, 4), from sin(theta) and
+    cos(theta) (scalars or broadcastable arrays)."""
+    rows = np.zeros((*np.broadcast_shapes(np.shape(s), np.shape(c)), 4, 4), dtype=complex)
+    rows[..., 0, 0], rows[..., 0, 3] = s, c
+    rows[..., 1, 0], rows[..., 1, 3] = c, -s
+    rows[..., 2, 1], rows[..., 2, 2] = s, c
+    rows[..., 3, 1], rows[..., 3, 2] = c, -s
+    return rows
+
+
+def _family_a_rows(sa, ca, sb, cb, sg, cg) -> np.ndarray:
+    """Raw three-angle-family vectors, shape (..., 4, 4), from the sines and
+    cosines of alpha, beta and gamma (scalars or broadcastable arrays); see
+    the module docstring for the states.  Every sine and cosine is >= 0 on
+    [0, pi/2], so each entry of b3 = S_g phi+ + C_g psi+ and
+    b4 = C_g phi+ - S_g psi+ is the one product written here, down to the
+    sign of a zero."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (sa, ca, sb, cb, sg, cg)))
+    rows = np.zeros((*shape, 4, 4), dtype=complex)
+    rows[..., 0, 0], rows[..., 0, 3] = ca, -sa
+    rows[..., 1, 1], rows[..., 1, 2] = cb, -sb
+    rows[..., 2, 0], rows[..., 2, 1], rows[..., 2, 2], rows[..., 2, 3] = (
+        sg * sa, cg * sb, cg * cb, sg * ca)
+    rows[..., 3, 0], rows[..., 3, 1], rows[..., 3, 2], rows[..., 3, 3] = (
+        cg * sa, 0.0 - sg * sb, 0.0 - sg * cb, cg * ca)
+    return rows
+
+
+def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
+    """math.sin and math.cos of each angle, taken once per value."""
+    return (np.array([math.sin(a) for a in angles], dtype=float),
+            np.array([math.cos(a) for a in angles], dtype=float))
 
 
 def theta_basis(theta: float) -> OrthonormalBasis:
     """The one-angle family; all four states are entangled for
     theta not in {0, pi/2} and theta = pi/4 gives the Bell basis."""
-    theta = _check_angle("theta", theta)
-    kets = tuple(BipartiteKet(v) for v in _theta_vectors(theta))
-    return OrthonormalBasis(states=kets, label=f"theta[{theta:.6g}]")
+    theta = check_angle("theta", theta)
+    return basis_from_vectors(_theta_rows(math.sin(theta), math.cos(theta)),
+                              f"theta[{theta:.6g}]")
 
 
 def a_basis(p: FamilyParams) -> OrthonormalBasis:
     """The three-angle family built from (alpha, beta, gamma); see module
     docstring for the explicit states."""
-    sa, ca = math.sin(p.alpha), math.cos(p.alpha)
-    sb, cb = math.sin(p.beta), math.cos(p.beta)
-    sg, cg = math.sin(p.gamma), math.cos(p.gamma)
-    phi_plus = np.array([sa, 0, 0, ca], dtype=complex)
-    psi_plus = np.array([0, sb, cb, 0], dtype=complex)
-    vectors = [
-        np.array([ca, 0, 0, -sa], dtype=complex),
-        np.array([0, cb, -sb, 0], dtype=complex),
-        sg * phi_plus + cg * psi_plus,
-        cg * phi_plus - sg * psi_plus,
-    ]
-    kets = tuple(BipartiteKet(v) for v in vectors)
-    label = f"A[alpha={p.alpha:.6g},beta={p.beta:.6g},gamma={p.gamma:.6g}]"
-    return OrthonormalBasis(states=kets, label=label)
+    rows = _family_a_rows(math.sin(p.alpha), math.cos(p.alpha), math.sin(p.beta),
+                          math.cos(p.beta), math.sin(p.gamma), math.cos(p.gamma))
+    return basis_from_vectors(
+        rows, f"A[alpha={p.alpha:.6g},beta={p.beta:.6g},gamma={p.gamma:.6g}]")
 
 
-def coefficient_matrix(k: BipartiteKet) -> np.ndarray:
-    """2x2 matrix M with M[j, i] = sqrt(2) * c[2i+j].
+def theta_kets(thetas) -> np.ndarray:
+    """The kets of theta_basis at each angle (already checked), as an
+    (N, 4, 4) stack whose rows equal that basis' amplitudes bit for bit."""
+    return canonical_kets(_theta_rows(*_sin_cos(thetas)))[0]
+
+
+def family_a_kets(alphas, betas, gammas) -> np.ndarray:
+    """The kets of a_basis at every point of the alpha x beta x gamma grid
+    (angles already checked), alpha-major, as an (N, 4, 4) stack whose rows
+    equal that basis' amplitudes bit for bit."""
+    (sa, ca), (sb, cb), (sg, cg) = (_sin_cos(axis) for axis in (alphas, betas, gammas))
+    a, b = (slice(None), None, None), (None, slice(None), None)
+    rows = _family_a_rows(sa[a], ca[a], sb[b], cb[b], sg, cg)
+    return canonical_kets(rows.reshape(-1, 4, 4))[0]
+
+
+def coefficient_matrices(kets) -> np.ndarray:
+    """2x2 matrices M with M[j, i] = sqrt(2) * c[2i+j], one per amplitude
+    vector of a stack (..., 4).
 
     M is defined so that (I (x) M) |phi+> reproduces the ket, where
     |phi+> = (|00> + |11>)/sqrt(2); its Frobenius norm is sqrt(2) and
     |det M| is the concurrence.
     """
-    return math.sqrt(2.0) * k.amplitudes.reshape(2, 2).T
+    kets = np.asarray(kets)
+    return math.sqrt(2.0) * np.swapaxes(kets.reshape(*kets.shape[:-1], 2, 2), -1, -2)
+
+
+def coefficient_matrix(k: BipartiteKet) -> np.ndarray:
+    """The coefficient matrix of one ket; see coefficient_matrices."""
+    return coefficient_matrices(k.amplitudes)
 
 
 # --- basis.v1 serialization -------------------------------------------------
@@ -207,7 +287,7 @@ def basis_from_dict(doc, path: str = "") -> OrthonormalBasis:
     doc = codec.envelope(doc, "basis.v1", path=path)
     states = codec.complex_array(doc, "states", (4, 4), path)
     label = codec.field(doc, "label", str, path, default="from-file")
-    return validate_basis([BipartiteKet(v) for v in states], label=label)
+    return basis_from_vectors(states, label)
 
 
 def basis_to_json(b: OrthonormalBasis) -> str:

@@ -1,0 +1,149 @@
+"""The batched classification kernel (`qlocc.classify.decide`) against the
+per-basis path it replaced (`conftest.reference_analyze`), and the scan CSV
+it feeds against bytes written by that path."""
+
+import contextlib
+import io
+import math
+import warnings
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qlocc import (
+    BipartiteKet,
+    DegenerateFamilyError,
+    FamilyParams,
+    a_basis,
+    analyze,
+    region,
+    report_to_json,
+    theta_basis,
+    validate_basis,
+)
+from qlocc.classify import BLOCK_SIZE, Decisions, SepWitness, decide
+from qlocc.cli import main
+from conftest import random_basis, random_low_entanglement_basis, reference_analyze
+
+PI_4 = math.pi / 4
+PI_6 = math.pi / 6
+DATA = Path(__file__).resolve().parent / "data"
+
+GOLDEN_SCANS = {
+    "scan_family_a_edges.csv": [
+        "scan", "--family", "A", "--alpha", "0:1.5707963267948966:5",
+        "--beta", "0:1.5707963267948966:5", "--gamma", "0:1.5707963267948966:4"],
+    "scan_theta_columns.csv": [
+        "scan", "--family", "theta", "--theta", "0:1.5707963267948966:17", "--columns",
+        "theta,c1,c2,c3,c4,entangled_count,min_pt_01,min_pt_23,min_copies_locc,min_copies_sep"],
+}
+
+
+def boundary_warning_inputs():
+    """(basis, params) of the four test_boundary_warnings_* cases."""
+    g = np.random.default_rng(2)
+    h = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    u = (v * np.exp(1e-5j * w)) @ v.conj().T
+    nudged = validate_basis([BipartiteKet(u @ k.amplitudes) for k in _ab(0.3, 0.9, PI_4)])
+    near_pair = FamilyParams(alpha=0.3, beta=0.3 + 1e-8, gamma=0.5)
+    near_surface = FamilyParams(alpha=0.7, beta=0.7, gamma=math.atan(math.sqrt(1.0 + 5e-9)))
+    return [(theta_basis(2.5e-9), None), (a_basis(near_pair), near_pair), (nudged, None),
+            (a_basis(near_surface), near_surface)]
+
+
+def differential_inputs(rng, haar: int, low: int):
+    """(basis, params) pairs: Haar and low-entanglement bases, the family-A
+    grid with its 0 and pi/2 edges (params given where the region is
+    defined), theta bases, criterion 5's R_I and R_IV sets and the
+    boundary-warning cases."""
+    cases = [(random_basis(rng), None) for _ in range(haar)]
+    cases += [(random_low_entanglement_basis(rng), None) for _ in range(low)]
+    edge = np.linspace(0.0, math.pi / 2, 9)
+    for al in edge:
+        for be in edge:
+            for ga in np.linspace(0.0, math.pi / 2, 7):
+                p = FamilyParams(alpha=al, beta=be, gamma=ga)
+                try:
+                    region(p)
+                except DegenerateFamilyError:
+                    cases.append((a_basis(p), None))
+                else:
+                    cases.append((a_basis(p), p))
+    cases += [(theta_basis(t), None) for t in np.linspace(0.0, math.pi / 2, 41)]
+    grid = np.linspace(0.0, math.pi / 2, 22)[1:-1]
+    for al in grid:
+        for be in grid:
+            if math.sin(2 * be) - math.sin(2 * al) >= 1e-3:
+                p = FamilyParams(alpha=al, beta=be, gamma=PI_4)
+                cases.append((a_basis(p), p))
+            p = FamilyParams(alpha=al, beta=be, gamma=PI_6)
+            if region(p).name == "R_IV":
+                cases.append((a_basis(p), p))
+    return cases + boundary_warning_inputs()
+
+
+def _ab(al, be, ga):
+    return a_basis(FamilyParams(alpha=al, beta=be, gamma=ga))
+
+
+def test_kernel_reports_equal_reference_path(rng):
+    cases = differential_inputs(rng, haar=2000, low=500)
+    mismatched = [b.label for b, p in cases
+                  if report_to_json(analyze(b, p)) != report_to_json(reference_analyze(b, p))]
+    assert mismatched == []
+
+
+def test_duan_warnings_stop_at_first_passing_elimination():
+    # beta a hair off pi/2 - alpha: eliminating state 0 passes, while state 1's
+    # concurrence-sum residual lies inside its warning window; the SEP route
+    # stops at the first pass, so that residual is never examined
+    p = FamilyParams(alpha=0.5, beta=math.pi / 2 - 0.5 + 10 ** -8.5, gamma=PI_4)
+    b = a_basis(p)
+    swapped = validate_basis([b[1], b[0], b[2], b[3]])
+    residual_warnings = []
+    for basis in (b, swapped):
+        rep = analyze(basis)
+        assert report_to_json(rep) == report_to_json(reference_analyze(basis))
+        residual_warnings.append([w for w in rep.boundary_warnings if "residual" in w])
+    assert analyze(b).sep_witness == SepWitness("elimination", eliminated=0)
+    assert residual_warnings[0] == []
+    assert analyze(swapped).sep_witness == SepWitness("elimination", eliminated=1)
+    assert residual_warnings[1] == [
+        "concurrence-sum residual 6.834e-09 for elimination of state 0 is within "
+        "10x of tolerance"]
+
+
+def test_decide_rows_do_not_depend_on_the_batch(rng):
+    # more than one block, so the block seams are crossed
+    bases = [random_basis(rng) for _ in range(BLOCK_SIZE + 40)]
+    bases += [random_low_entanglement_basis(rng) for _ in range(60)]
+    bases += [theta_basis(t) for t in np.linspace(0.0, math.pi / 2, 9)]
+    stack = decide(np.array([b.matrix() for b in bases]))
+    for n, b in enumerate(bases):
+        alone = decide(b.matrix()[None])
+        for f in fields(Decisions):
+            assert getattr(stack, f.name)[n].tobytes() == getattr(alone, f.name)[0].tobytes()
+
+
+def _scan_bytes(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_reproduces_golden_csv(name):
+    assert _scan_bytes(GOLDEN_SCANS[name]) == (DATA / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_raises_no_runtime_warning(name):
+    # the degenerate cells (alpha or beta at 0 or pi/2) divide by zero in
+    # masked lanes; those lanes must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _scan_bytes(GOLDEN_SCANS[name])
