@@ -38,6 +38,7 @@ from .entanglement import (
     pair_projectors,
     separability_certificate,  # not called here; bench/tracing.py wraps it by name
 )
+from .linalg import det2
 from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, check_orthonormal,
                      coefficient_matrices, complement_pair)
 from .states import coefficient_matrix  # noqa: F401  re-exported: tests import it from here
@@ -53,6 +54,7 @@ SPLITS = ((0, 1), (0, 2), (0, 3))  # each 2-vs-2 split, named by the pair holdin
 _SPLIT_SIDES = ([PAIRS.index(s) for s in SPLITS],  # PAIRS indices of each split's pairs
                 [PAIRS.index(complement_pair(*s)) for s in SPLITS])
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # the states other than l
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 LOCC_KINDS = ("one_copy", "two_copy_elimination", "two_copy_pair_split", "three_copy")
 SEP_KINDS = ("all_product", "pair_split", "elimination", "locc_protocol", "none")
@@ -179,22 +181,31 @@ def _duan(cons: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (whose orthocomplement is state l), from the concurrences (T, 4) and
     coefficient matrices (T, 4, 2, 2) of all four.
 
-    Every entangled member of the three must have anti-parallel eigenvalues
-    against the complement's coefficient matrix, and their concurrences must
-    sum to the complement's; a product complement requires all three product.
+    Every entangled member A_k of the three must have anti-parallel
+    eigenvalues against the complement's coefficient matrix A_l: the ratio of
+    the smaller- to the larger-modulus eigenvalue of A_k A_l^-1 must be real
+    and negative.  Their concurrences must also sum to the complement's; a
+    product complement requires all three product.
     Returns (ok, concurrence-sum residual), each (T, 4).
+
+    The ratio is taken in closed form from M = A_k adj(A_l), whose
+    eigenvalues are those of A_k A_l^-1 times det A_l: with t = tr M,
+    d = det M = det A_k det A_l and s = sqrt(t^2 - 4d), the larger-modulus
+    root is big = (t +- s)/2, the sign chosen with Re(conj(t) s) >= 0 so
+    that nothing cancels, and the ratio is d / big^2.
     """
     rest = cons[:, _REST]  # (T, 4, 3)
     residual = rest[..., 0] + rest[..., 1] + rest[..., 2] - cons
     product = cons < CONCURRENCE_ZERO_TOL
     rest_product = rest < CONCURRENCE_ZERO_TOL
-    # a product complement gets the identity in place of its (singular) inverse
-    inv = np.linalg.inv(np.where(product[..., None, None], np.eye(2), mats))
-    lam = np.linalg.eigvals(mats[:, _REST] @ inv[:, :, None])  # (T, 4, 3, 2)
-    size = np.hypot(lam.real, lam.imag)
-    swap = size[..., 1] < size[..., 0]  # sort each pair by modulus, stably
+    adj_t = mats[..., ::-1, ::-1] * _COFACTOR_SIGNS  # adj(A_l) transposed
+    t = (mats[:, _REST] * adj_t[:, :, None]).sum(axis=(-2, -1))  # tr(A_k adj(A_l)), (T, 4, 3)
+    dets = det2(mats)
+    d = dets[:, _REST] * dets[..., None]
+    s = np.sqrt(t * t - 4.0 * d)
+    big = 0.5 * np.where((t.conj() * s).real >= 0.0, t + s, t - s)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes of product states
-        ratio = np.where(swap, lam[..., 1] / lam[..., 0], lam[..., 0] / lam[..., 1])
+        ratio = d / (big * big)
     anti = (np.abs(ratio.imag) < ANTIPARALLEL_IM_TOL) & (ratio.real < 0.0)
     anti_ok = (anti | rest_product).all(axis=-1)
     ok = np.where(product, rest_product.all(axis=-1),
@@ -216,6 +227,9 @@ def decide(kets) -> Decisions:
                            for f in fields(Decisions)))
     check_orthonormal(kets)
     cons = concurrences(kets)
+    # no PSD check is needed: each projector is K^dagger K for two kets that
+    # just passed the Gram check, so its nonzero spectrum is that of a 2x2
+    # Gram block within GRAM_ATOL of the identity
     min_pt = min_pt_eigenvalues(pair_projectors(kets, PAIRS))
 
     entangled = cons >= CONCURRENCE_ZERO_TOL

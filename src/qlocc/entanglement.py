@@ -14,7 +14,7 @@ import numpy as np
 from .linalg import (
     adjoint,
     det2,
-    hermitian_eigenvalues,  # not called here; bench/tracing.py wraps it by name
+    hermitian_eigenvalues,
     is_hermitian,
     normalize,
     partial_transpose,
@@ -108,33 +108,33 @@ def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False
 
 def min_pt_eigenvalues(ops) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of each operator in a stack
-    (..., 4, 4), from one eigvalsh over the operators and their partial
-    transposes together.
+    (..., 4, 4), from one eigvalsh over the symmetrized partial transposes.
 
     Raises ValueError unless every operator is Hermitian (so is its partial
-    transpose: m - m^dagger and its partial transpose hold the same entries)
-    and positive semidefinite.
+    transpose: m - m^dagger and its partial transpose hold the same entries).
+    Positivity of the operators themselves is not checked here: the pair
+    projectors of an orthonormal basis are PSD by construction, and
+    `separability_certificate` checks operators given from outside.
     """
     ops = np.asarray(ops, dtype=complex)
     if not is_hermitian(ops):
         raise ValueError("operator is not Hermitian")
-    k = ops.shape[-3]
-    # assembled in place: fewer large temporaries keep a scan's peak memory down
-    stack = np.empty((*ops.shape[:-3], 2 * k, 4, 4), dtype=complex)
-    stack[..., :k, :, :] = ops
-    pt = stack[..., k:, :, :]
-    pt[...] = partial_transpose(ops)
+    pt = partial_transpose(ops)
     pt += adjoint(pt)  # 0.5 * (pt + pt^dagger), as hermitian_eigenvalues symmetrizes
     pt *= 0.5
-    spectra = np.linalg.eigvalsh(stack)
-    if np.any(spectra[..., :k, 0] < -PSD_ATOL):
-        raise ValueError("operator is not positive semidefinite")
-    return spectra[..., k:, 0]
+    return np.linalg.eigvalsh(pt)[..., 0]
 
 
 def separability_certificate(m) -> SeparabilityCertificate:
-    """PPT certificate for a Hermitian PSD operator on two qubits."""
-    min_pt = float(min_pt_eigenvalues(np.asarray(m, dtype=complex)[None])[0])
+    """PPT certificate for a Hermitian PSD operator on two qubits.
+
+    Raises ValueError unless the operator is Hermitian and positive
+    semidefinite (within PSD_ATOL).
+    """
+    m = np.asarray(m, dtype=complex)
+    min_pt = float(min_pt_eigenvalues(m[None])[0])
+    if hermitian_eigenvalues(m)[0] < -PSD_ATOL:
+        raise ValueError("operator is not positive semidefinite")
     return SeparabilityCertificate(
         min_pt_eigenvalue=min_pt,
         is_separable=min_pt >= -SEPARABILITY_TOL,

@@ -23,9 +23,12 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
-from qlocc.classify import BLOCK_SIZE, Decisions, SepWitness, decide
+from qlocc.classify import BLOCK_SIZE, PAIRS, Decisions, SepWitness, decide
 from qlocc.cli import main
-from conftest import random_basis, random_low_entanglement_basis, reference_analyze
+from qlocc.entanglement import PSD_ATOL, pair_projector, pair_projectors, separability_certificate
+from qlocc.states import canonical_kets, family_a_kets
+from conftest import (haar_unitary, random_basis, random_low_entanglement_basis,
+                      reference_analyze)
 
 PI_4 = math.pi / 4
 PI_6 = math.pi / 6
@@ -54,14 +57,24 @@ def boundary_warning_inputs():
             (a_basis(near_surface), near_surface)]
 
 
+def local_unitaries(rng, n: int) -> np.ndarray:
+    """n seeded random U_A (x) U_B, shape (n, 4, 4)."""
+    return np.array([np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(n)])
+
+
 def differential_inputs(rng, haar: int, low: int):
     """(basis, params) pairs: Haar and low-entanglement bases, the family-A
     grid with its 0 and pi/2 edges (params given where the region is
-    defined), theta bases, criterion 5's R_I and R_IV sets and the
-    boundary-warning cases."""
+    defined) and the same grid under random local unitaries, theta bases,
+    criterion 5's R_I and R_IV sets and the boundary-warning cases.
+
+    The rotated grid is the complex input that passes the SEP elimination
+    test: family-A bases are real, and Haar bases practically never pass it.
+    """
     cases = [(random_basis(rng), None) for _ in range(haar)]
     cases += [(random_low_entanglement_basis(rng), None) for _ in range(low)]
     edge = np.linspace(0.0, math.pi / 2, 9)
+    grid = []
     for al in edge:
         for be in edge:
             for ga in np.linspace(0.0, math.pi / 2, 7):
@@ -69,9 +82,12 @@ def differential_inputs(rng, haar: int, low: int):
                 try:
                     region(p)
                 except DegenerateFamilyError:
-                    cases.append((a_basis(p), None))
+                    grid.append((a_basis(p), None))
                 else:
-                    cases.append((a_basis(p), p))
+                    grid.append((a_basis(p), p))
+    cases += grid
+    cases += [(validate_basis([BipartiteKet(u @ k.amplitudes) for k in b], label="local"), None)
+              for (b, _), u in zip(grid, local_unitaries(rng, len(grid)))]
     cases += [(theta_basis(t), None) for t in np.linspace(0.0, math.pi / 2, 41)]
     grid = np.linspace(0.0, math.pi / 2, 22)[1:-1]
     for al in grid:
@@ -126,6 +142,30 @@ def test_decide_rows_do_not_depend_on_the_batch(rng):
         alone = decide(b.matrix()[None])
         for f in fields(Decisions):
             assert getattr(stack, f.name)[n].tobytes() == getattr(alone, f.name)[0].tobytes()
+
+
+def test_decide_verdicts_are_invariant_under_local_unitaries(rng):
+    # copy counts and the entangled count are local-unitary invariants
+    edge = np.linspace(0.0, math.pi / 2, 17)
+    kets = np.concatenate([family_a_kets(edge, edge, edge),
+                           [random_low_entanglement_basis(rng).matrix() for _ in range(300)]])
+    rotated = canonical_kets(kets @ np.swapaxes(local_unitaries(rng, len(kets)), -1, -2))[0]
+    before, after = decide(kets), decide(rotated)
+    for name in ("locc_kind", "sep_kind", "entangled_count"):
+        changed = np.flatnonzero(getattr(before, name) != getattr(after, name))
+        assert changed.tolist() == [], name
+
+
+def test_kernel_min_pt_equals_certificates_and_skipped_psd_check_cannot_fire(rng):
+    # decide solves only the partial transposes; each pair projector's own
+    # spectrum, which separability_certificate still checks, stays PSD
+    bases = [b for b, _ in differential_inputs(rng, haar=200, low=100)]
+    kets = np.array([b.matrix() for b in bases])
+    min_pt = decide(kets).min_pt
+    certified = np.array([[separability_certificate(pair_projector(b, i, j)).min_pt_eigenvalue
+                           for i, j in PAIRS] for b in bases])
+    assert min_pt.tobytes() == certified.tobytes()
+    assert np.linalg.eigvalsh(pair_projectors(kets, PAIRS))[..., 0].min() >= -PSD_ATOL
 
 
 def _scan_bytes(argv) -> str:
