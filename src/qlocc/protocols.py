@@ -19,13 +19,14 @@ closed form below.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import codec
-from .linalg import as_complex_vector, normalize, orthogonal_complement_qubit
+from .linalg import as_complex_vector
 from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 
 ORTHILITY_ATOL = 1e-10
@@ -54,15 +55,22 @@ class LocalMeasurement:
     def __post_init__(self):
         if self.party not in ("A", "B"):
             raise ValueError(f"party must be 'A' or 'B', got {self.party!r}")
-        b0 = as_complex_vector(self.basis[0], 2)
-        b1 = as_complex_vector(self.basis[1], 2)
-        g = np.array([[np.vdot(b0, b0), np.vdot(b0, b1)],
-                      [np.vdot(b1, b0), np.vdot(b1, b1)]])
-        if not np.max(np.abs(g - np.eye(2))) <= 1e-10:  # NaN fails too
+        if len(self.basis) != 2:
+            raise ValueError(f"a measurement basis needs exactly two vectors, got {len(self.basis)}")
+        try:
+            v = np.array(self.basis, dtype=complex).reshape(2, 2)
+        except ValueError:  # ragged or of another dimension: say which, as one vector's check does
+            v = np.array([as_complex_vector(b, 2) for b in self.basis])
+        if not np.abs(v).max() <= 2.0:  # NaN fails too; keeps the Gram product finite
+            if not np.isfinite(v).all():
+                raise ValueError("vector contains NaN or Inf")
             raise ValueError("measurement basis is not orthonormal")
-        b0.setflags(write=False)
-        b1.setflags(write=False)
-        object.__setattr__(self, "basis", (b0, b1))
+        g = v.conj() @ v.T
+        g.flat[::3] -= 1.0
+        if not np.abs(g).max() <= 1e-10:
+            raise ValueError("measurement basis is not orthonormal")
+        v.setflags(write=False)
+        object.__setattr__(self, "basis", (v[0], v[1]))
 
 
 @dataclass(frozen=True)
@@ -119,25 +127,46 @@ class LeafTable:
     conclusions: np.ndarray  # (L,) concluded state index
     transcripts: tuple[tuple[tuple[int, str, int], ...], ...]  # (copy, party, outcome)
     effects: np.ndarray  # (L, C, 4, 4)
+    # [(ket bytes, probabilities, cumulative)] of the last basis asked for
+    _last_basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def probabilities(self, kets: np.ndarray) -> np.ndarray:
         """Leaf probabilities, shape (..., L), for input kets of shape (..., 4)."""
         amp = np.tensordot(kets, self.effects, axes=(-1, -1))  # (..., L, C, 4)
         return (np.abs(amp) ** 2).sum(axis=-1).prod(axis=-1)
 
+    def basis_probabilities(self, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`probabilities` of a basis's (4, 4) kets and their running sums over
+        the leaves, both read-only.  The last basis's pair is kept, keyed by
+        the kets' bytes, so runs drawn one at a time compute it once."""
+        key = kets.tobytes()
+        last = self._last_basis[0] if self._last_basis else None
+        if last is None or last[0] != key:
+            p = self.probabilities(kets)
+            cum = np.cumsum(p, axis=1)
+            for a in (p, cum):
+                a.setflags(write=False)
+            last = (key, p, cum)
+            self._last_basis[:] = [last]
+        return last[1], last[2]
 
-def _walk(node, copies: int, used: frozenset, path: tuple, vectors: list, leaves: list) -> None:
-    """Append every leaf below ``node`` to ``leaves`` as (conclusion, path), each
-    path step (copy, party, outcome, projector), projector k + 1 being
-    |vectors[k]><vectors[k]|.  A module-level function rather than a closure, so
-    no reference cycle keeps the tree alive once its callers drop it."""
+
+def _walk(node, copies: int, used: frozenset, path: tuple, cells: tuple, measured: dict,
+          leaves: list) -> None:
+    """Append every leaf below ``node`` to ``leaves`` as (conclusion, transcript,
+    cells): per path step, (copy, party, outcome) in the transcript and
+    (slot, projector) in the flat ``cells``, slot 2 copy + (party == "B") and
+    projector 2 m + 1 + outcome for the step's measurement m, numbered in
+    first-visit order in ``measured`` (id -> (m, measurement)).  A module-level
+    function rather than a closure, so no reference cycle keeps the tree alive
+    once its callers drop it."""
     if isinstance(node, Conclude):
         if not 0 <= node.state_index < 4:
             raise MalformedProtocolError(f"conclude index {node.state_index} out of range")
-        leaves.append((node.state_index, path))
+        leaves.append((node.state_index, path, cells))
         return
     if isinstance(node, Eliminate):
-        _walk(node.child, copies, used, path, vectors, leaves)
+        _walk(node.child, copies, used, path, cells, measured, leaves)
         return
     if isinstance(node, Measure):
         if not 0 <= node.copy_index < copies:
@@ -151,28 +180,31 @@ def _walk(node, copies: int, used: frozenset, path: tuple, vectors: list, leaves
             )
         if len(node.children) != 2:
             raise MalformedProtocolError("measure nodes need exactly two children")
+        m = measured.setdefault(id(node.measurement), (len(measured), node.measurement))[0]
+        slot = 2 * node.copy_index + (key[1] == "B")
+        used = used | {key}
         for outcome, child in enumerate(node.children):
-            vectors.append(node.measurement.basis[outcome])
-            _walk(child, copies, used | {key}, path + (key + (outcome, len(vectors)),),
-                  vectors, leaves)
+            _walk(child, copies, used, path + (key + (outcome,),),
+                  cells + (slot, 2 * m + 1 + outcome), measured, leaves)
         return
     raise MalformedProtocolError(f"unknown node type {type(node).__name__}")
 
 
 def _compile(t: ProtocolTree) -> LeafTable:
-    """Check the structural invariants and list the leaves in one walk."""
+    """Check the structural invariants and list the leaves in one walk; each
+    distinct measurement's projectors are built once."""
     if t.copies < 1:
         raise MalformedProtocolError("a protocol needs at least one copy")
-    vectors: list[np.ndarray] = []
-    leaves: list[tuple] = []  # (conclusion, ((copy, party, outcome, projector), ...))
-    _walk(t.root, t.copies, frozenset(), (), vectors, leaves)
-    conclusions, paths = zip(*leaves)
-    transcripts = tuple(tuple(step[:3] for step in path) for path in paths)
-    flat = [(leaf, c, party == "B", k) for leaf, path in enumerate(paths) for c, party, _, k in path]
-    leaf, copy, party, k = np.array(flat, dtype=np.intp).reshape(-1, 4).T
-    index = np.zeros((len(leaves), copy.max(initial=-1) + 1, 2), dtype=np.intp)  # 0: identity
-    index[leaf, copy, party] = k
-    v = np.array(vectors, dtype=complex).reshape(-1, 2)
+    measured: dict[int, tuple[int, LocalMeasurement]] = {}
+    leaves: list[tuple] = []
+    _walk(t.root, t.copies, frozenset(), (), (), measured, leaves)
+    conclusions, transcripts, cells = zip(*leaves)
+    slot, k = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.intp).reshape(-1, 2).T
+    steps = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) // 2
+    copies = slot.max(initial=-1) // 2 + 1  # up to the last one measured
+    index = np.zeros((len(leaves), copies, 2), dtype=np.intp)  # projector 0: identity
+    index.reshape(len(leaves), 2 * copies)[np.repeat(np.arange(len(leaves)), steps), slot] = k
+    v = np.array([m.basis for _, m in measured.values()], dtype=complex).reshape(-1, 2)
     proj = np.concatenate([np.eye(2, dtype=complex)[None], np.einsum("ki,kj->kij", v, v.conj())])
     effects = np.einsum("lcij,lckm->lcikjm", proj[index[..., 0]], proj[index[..., 1]])
     effects = effects.reshape(index.shape[:2] + (4, 4))
@@ -187,77 +219,122 @@ def validate_tree(t: ProtocolTree) -> None:
     t.leaves
 
 
-# --- the traceless quadratic-form solver -------------------------------------
+# --- the pair subroutine, batched ----------------------------------------------
+#
+# A stack member gets the bits of a one-pair computation: complex products of
+# scalars are written in the real arithmetic a complex scalar uses (numpy's
+# array loops may fuse multiply-adds), the arctangents, cosines and sines are
+# libm's (np.arctan2 does not match math.atan2 on every input), and matrix
+# products, norms and inner products go through the BLAS calls a single
+# vector's `@`, np.linalg.norm and np.vdot make.
 
-def _isotropic_unit(m: np.ndarray) -> np.ndarray:
-    """Unit u with u^dag m u = 0 for a traceless 2x2 matrix m.
+def _libm(f, *args: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied elementwise to float arrays."""
+    values = map(f, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, dtype=float, count=args[0].size).reshape(args[0].shape)
+
+
+def _cmul(ar, ai, br, bi):
+    """(a * b).real, (a * b).imag as numpy multiplies two complex scalars."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _with_complement(u: np.ndarray) -> np.ndarray:
+    """The bases with rows u and `orthogonal_complement_qubit(u)`, shape
+    (..., 2, 2), for the vectors u along the last axis."""
+    out = np.empty(u.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, :] = u
+    np.negative(u[..., 1].conj(), out=out[..., 1, 0])
+    np.conjugate(u[..., 0], out=out[..., 1, 1])
+    return out
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each complex vector along the last axis: the dot
+    products of its real and of its imaginary parts, summed.  (The einsum in
+    `linalg.vector_norms` rounds some 2-vectors differently.)"""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _alice_vector(m: np.ndarray) -> np.ndarray:
+    """Unit u with u^dag m u = 0 for each traceless 2x2 m of a stack (..., 2, 2).
 
     Closed form: with u = (cos t, e^{i phi} sin t) the form becomes
     m00 cos(2t) + Re-part(phi) sin(2t); phi is chosen so the off-diagonal
     combination aligns with m00 in the complex plane, leaving a real
-    equation for 2t.
+    equation for 2t.  Where |m00| < 1e-14, u = (1, 0).
+
+    tr m is the pair's overlap (accepted up to ORTHILITY_ATOL); the closed form
+    then misses by |tr m| sin^2 t, which Bob's snap absorbs.  A larger miss
+    raises LinAlgError; written so NaN fails.
     """
-    m00 = m[0, 0]
-    if abs(m00) < 1e-14:
-        return np.array([1.0, 0.0], dtype=complex)
-    delta = float(np.angle(m00))
-    z1 = m[0, 1] * np.exp(-1j * delta)
-    z2 = m[1, 0] * np.exp(-1j * delta)
-    phi = math.atan2(-(z1.imag + z2.imag), z1.real - z2.real)
-    g = 0.5 * (m[0, 1] * np.exp(1j * phi) + m[1, 0] * np.exp(-1j * phi))
-    gr = (g * np.exp(-1j * delta)).real
-    t = 0.5 * math.atan2(-abs(m00), gr)
-    return np.array([math.cos(t), np.exp(1j * phi) * math.sin(t)], dtype=complex)
-
-
-def _alice_vector(m: np.ndarray) -> np.ndarray:
-    # tr m is the pair's overlap (accepted up to ORTHILITY_ATOL); the closed form then
-    # misses by |tr m| sin^2 t, which Bob's snap absorbs.  Written so NaN fails.
-    scale = max(1.0, float(np.abs(m).max()))
-    u = _isotropic_unit(m)
-    residual = abs(u.conj() @ m @ u)
-    if not residual <= 1e-12 * scale + abs(np.trace(m)):
-        raise np.linalg.LinAlgError(f"Alice vector misses u^dag K u = 0 by {residual:.3e}")
+    m = np.asarray(m, dtype=complex)
+    m00, m01, m10 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]
+    r = np.hypot(m00.real, m00.imag)  # abs() of a complex scalar, bit for bit
+    e = np.exp(-1j * np.angle(m00))
+    z1r, z1i = _cmul(m01.real, m01.imag, e.real, e.imag)
+    z2r, z2i = _cmul(m10.real, m10.imag, e.real, e.imag)
+    phi = _libm(math.atan2, -(z1i + z2i), z1r - z2r)
+    p, q = np.exp(1j * phi), np.exp(-1j * phi)
+    ar, ai = _cmul(m01.real, m01.imag, p.real, p.imag)
+    br, bi = _cmul(m10.real, m10.imag, q.real, q.imag)
+    gr = _cmul(0.5 * (ar + br), 0.5 * (ai + bi), e.real, e.imag)[0]  # Re(g e^{-i delta})
+    t = 0.5 * _libm(math.atan2, -r, gr)
+    u = np.empty(m.shape[:-1], dtype=complex)
+    u.real[..., 0], u.imag[..., 0] = _libm(math.cos, t), 0.0
+    u.real[..., 1], u.imag[..., 1] = _cmul(p.real, p.imag, _libm(math.sin, t), 0.0)
+    u[r < 1e-14] = 1.0, 0.0
+    residual = np.abs(u.conj()[..., None, :] @ m @ u[..., :, None])[..., 0, 0]
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    bad = ~(residual <= 1e-12 * scale + np.abs(m00 + m[..., 1, 1]))
+    if bad.any():
+        raise np.linalg.LinAlgError(
+            f"Alice vector misses u^dag K u = 0 by {residual[bad][0]:.3e}")
     return u
 
 
-# --- pair subroutine ----------------------------------------------------------
+def _walgate_bases(psi: np.ndarray, phi: np.ndarray):
+    """The pair subroutine for K pairs of orthogonal kets, psi and phi of
+    shape (K, 4).  Returns
 
-def _pair_subtree(psi_vec, phi_vec, copy_index, leaf):
-    """Measurement subtree perfectly separating two orthogonal states on one
-    copy. ``leaf(winner)`` maps 'psi'/'phi' to the follow-up node."""
-    a_psi = psi_vec.reshape(2, 2)
-    a_phi = phi_vec.reshape(2, 2)
-    u = _alice_vector(a_phi @ a_psi.conj().T)
-    u_perp = orthogonal_complement_qubit(u)
-    bob_children = []
-    for w in (u, u_perp):
-        eta = a_psi.T @ w.conj()
-        nu = a_phi.T @ w.conj()
-        n_eta, n_nu = np.linalg.norm(eta), np.linalg.norm(nu)
-        if n_eta > VANISH_TOL and n_nu > VANISH_TOL:
-            b0 = normalize(eta)
-            b1 = normalize(nu - (np.vdot(b0, nu)) * b0)  # snap to exact orthogonality
-            winners = ("psi", "phi")
-        elif n_eta > VANISH_TOL:
-            b0 = normalize(eta)
-            b1 = orthogonal_complement_qubit(b0)
-            winners = ("psi", "phi")
-        elif n_nu > VANISH_TOL:
-            b0 = normalize(nu)
-            b1 = orthogonal_complement_qubit(b0)
-            winners = ("phi", "psi")
-        else:  # branch unreachable for either state
-            b0 = np.array([1.0, 0.0], dtype=complex)
-            b1 = np.array([0.0, 1.0], dtype=complex)
-            winners = ("psi", "phi")
-        bob = Measure(
-            copy_index,
-            LocalMeasurement("B", (b0, b1)),
-            (leaf(winners[0]), leaf(winners[1])),
-        )
-        bob_children.append(bob)
-    return Measure(copy_index, LocalMeasurement("A", (u, u_perp)), tuple(bob_children))
+    - ``alice`` (K, 2, 2): Alice's basis, rows u and u_perp;
+    - ``bob`` (K, 2, 2, 2): Bob's basis after each Alice outcome;
+    - ``swap`` (K, 2): True where Bob's outcome 0 names phi, not psi.
+
+    After Alice's outcome w, psi leaves Bob in eta = A_psi^T w* and phi in
+    nu = A_phi^T w*, orthogonal by the choice of u.  Bob measures eta and nu
+    snapped orthogonal to it where both reach the outcome (norm above
+    VANISH_TOL); the one that does and its complement where only one does
+    (``swap`` when that is phi); the computational basis where neither does.
+    """
+    a_psi, a_phi = psi.reshape(-1, 2, 2), phi.reshape(-1, 2, 2)
+    alice = _with_complement(_alice_vector(a_phi @ a_psi.conj().swapaxes(-1, -2)))
+    w = alice.conj()[..., None]
+    eta = (a_psi.swapaxes(-1, -2)[:, None] @ w)[..., 0]
+    nu = (a_phi.swapaxes(-1, -2)[:, None] @ w)[..., 0]
+    n_eta, n_nu = _norms(eta), _norms(nu)
+    has_eta, has_nu = n_eta > VANISH_TOL, n_nu > VANISH_TOL
+    both = has_eta & has_nu
+    first = np.where(has_eta[..., None], eta, nu)  # the state Bob's outcome 0 names
+    n_first = np.where(has_eta, n_eta, np.where(has_nu, n_nu, 1.0))  # never 0: no warning
+    bob = _with_complement(first / n_first[..., None])
+    b0, nu = bob[both, 0], nu[both]
+    snap = nu - (b0.conj()[:, None, :] @ nu[:, :, None])[:, 0] * b0  # np.vdot(b0, nu) b0
+    bob[both, 1] = snap / _norms(snap)[:, None]  # snapped to exact orthogonality
+    bob[~(has_eta | has_nu)] = np.eye(2)
+    return alice, bob, has_nu & ~has_eta
+
+
+def _pair_node(alice, bob, swap, copy_index: int, won_psi: Node, won_phi: Node) -> Measure:
+    """The measurement subtree of one solved pair: Alice, then Bob, then the
+    follow-up node of the state Bob's outcome names."""
+    children = tuple(
+        Measure(copy_index, LocalMeasurement("B", bob[o]),
+                (won_phi, won_psi) if swap[o] else (won_psi, won_phi))
+        for o in (0, 1)
+    )
+    return Measure(copy_index, LocalMeasurement("A", alice), children)
 
 
 def walgate_pair_protocol(psi: BipartiteKet, phi: BipartiteKet) -> ProtocolTree:
@@ -267,11 +344,13 @@ def walgate_pair_protocol(psi: BipartiteKet, phi: BipartiteKet) -> ProtocolTree:
         raise NotOrthogonalError(
             f"states overlap by {abs(psi.overlap(phi)):.3e}"
         )
-    root = _pair_subtree(
-        psi.amplitudes, phi.amplitudes, 0,
-        lambda winner: Conclude(0 if winner == "psi" else 1),
-    )
-    return ProtocolTree(copies=1, root=root)
+    (alice,), (bob,), (swap,) = _walgate_bases(psi.amplitudes[None], phi.amplitudes[None])
+    return ProtocolTree(copies=1, root=_pair_node(alice, bob, swap, 0, Conclude(0), Conclude(1)))
+
+
+# The knockout's pairs (i, j), played on copy j - 1: copy 0 pits 0 against 1,
+# and copy c > 0 pits the winner so far against candidate c + 1.
+_KNOCKOUT = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 
 
 def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree:
@@ -281,31 +360,18 @@ def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree
     using copy r; the declared loser is eliminated soundly (the true state
     always wins its own pair), so after three rounds exactly one candidate
     remains and the success probability is exactly 1 on every basis state.
+    All six pairs are solved in one `_walgate_bases` call.
     """
     if copies < 3:
         raise ValueError("the four-candidate tournament needs at least 3 copies")
-    root = _knockout([k.amplitudes for k in b], (0, 1, 2, 3), 0, {})
-    return ProtocolTree(copies=copies, root=root)
-
-
-def _knockout(vecs, candidates: tuple[int, ...], copy_index: int, memo: dict) -> Node:
-    """The tournament subtree from ``candidates`` on, round ``copy_index``;
-    ``memo`` shares equal subtrees.  Module-level, not a self-referencing
-    closure, so the finished tree is freed as soon as it is dropped."""
-    key = (candidates, copy_index)
-    if key not in memo:
-        i, j = candidates[0], candidates[1]
-
-        def leaf(winner: str) -> Node:
-            won = i if winner == "psi" else j
-            if len(candidates) == 2:
-                return Conclude(won)
-            lost = j if won == i else i
-            rest = tuple(c for c in candidates if c != lost)
-            return Eliminate(lost, _knockout(vecs, rest, copy_index + 1, memo))
-
-        memo[key] = _pair_subtree(vecs[i], vecs[j], copy_index, leaf)
-    return memo[key]
+    alice, bob, swap = _walgate_bases(*b.matrix()[np.array(_KNOCKOUT).T])
+    nodes: dict[tuple[int, int], Node] = {}
+    for n in reversed(range(len(_KNOCKOUT))):
+        i, j = _KNOCKOUT[n]
+        after = [Conclude(won) if j == 3 else Eliminate(lost, nodes[won, j + 1])
+                 for won, lost in ((i, j), (j, i))]
+        nodes[i, j] = _pair_node(alice[n], bob[n], swap[n], j - 1, *after)
+    return ProtocolTree(copies=copies, root=nodes[0, 1])
 
 
 def bell_grouping_protocol(theta: float) -> ProtocolTree:
@@ -315,29 +381,19 @@ def bell_grouping_protocol(theta: float) -> ProtocolTree:
     outcomes select the {|00>,|11>}-supported pair, opposite outcomes the
     other pair.  Copy 1: the pair subroutine finishes the job.
     """
-    b = theta_basis(theta)
-    vecs = [k.amplitudes for k in b]
-    z0 = np.array([1.0, 0.0], dtype=complex)
-    z1 = np.array([0.0, 1.0], dtype=complex)
-    second: dict[tuple[int, int], Node] = {}
+    groups = ((0, 1), (2, 3))  # selected by matching and by opposite outcomes
+    alice, bob, swap = _walgate_bases(*theta_basis(theta).matrix()[np.array(groups).T])
+    finish = []
+    for n, (i, j) in enumerate(groups):
+        second = _pair_node(alice[n], bob[n], swap[n], 1, Conclude(i), Conclude(j))
+        k, l = complement_pair(i, j)
+        finish.append(Eliminate(k, Eliminate(l, second)))
+    z = np.eye(2, dtype=complex)
 
-    def finish(group: tuple[int, int]) -> Node:
-        if group not in second:
-            i, j = group
-            second[group] = _pair_subtree(
-                vecs[i], vecs[j], 1,
-                lambda winner, i=i, j=j: Conclude(i if winner == "psi" else j),
-            )
-        k, l = complement_pair(*group)
-        return Eliminate(k, Eliminate(l, second[group]))
+    def bob_node(x: int) -> Node:
+        return Measure(0, LocalMeasurement("B", z), (finish[x], finish[1 - x]))
 
-    def bob(x: int) -> Node:
-        children = tuple(
-            finish((0, 1) if x == y else (2, 3)) for y in (0, 1)
-        )
-        return Measure(0, LocalMeasurement("B", (z0, z1)), children)
-
-    root = Measure(0, LocalMeasurement("A", (z0, z1)), (bob(0), bob(1)))
+    root = Measure(0, LocalMeasurement("A", z), (bob_node(0), bob_node(1)))
     return ProtocolTree(copies=2, root=root)
 
 
@@ -352,8 +408,8 @@ def outcome_distribution(t: ProtocolTree, initial: np.ndarray) -> np.ndarray:
 
 
 def basis_leaf_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
-    """Exact leaf probabilities of the four basis states, shape (4, L)."""
-    return t.leaves.probabilities(b.matrix())
+    """Exact leaf probabilities of the four basis states, shape (4, L), read-only."""
+    return t.leaves.basis_probabilities(b.matrix())[0]
 
 
 def success_probabilities(t: ProtocolTree, b: OrthonormalBasis,
@@ -389,15 +445,16 @@ def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices, seeds,
     exact probability given the run's input.
 
     The leaf probabilities of the four basis states are computed once per
-    call (or passed in as ``leaf_probs``, `basis_leaf_probabilities(t, b)`),
-    and a run's leaf depends only on its (input, seed) pair, so it is the
-    same whether the run is drawn alone or in any batch."""
+    basis (`LeafTable.basis_probabilities`) or passed in as ``leaf_probs``
+    (`basis_leaf_probabilities(t, b)`), and a run's leaf depends only on its
+    (input, seed) pair, so it is the same whether the run is drawn alone or
+    in any batch."""
     states = np.atleast_1d(np.asarray(true_indices, dtype=np.intp))
     bad = states[(states < 0) | (states >= 4)]
     if bad.size:
         raise ValueError(f"true_index {bad[0]} out of range")
-    p = basis_leaf_probabilities(t, b) if leaf_probs is None else leaf_probs
-    cum = np.cumsum(p, axis=1)
+    p, cum = (t.leaves.basis_probabilities(b.matrix()) if leaf_probs is None
+              else (leaf_probs, np.cumsum(leaf_probs, axis=1)))
     # u < 1 gives u * cum[-1] < cum[-1], and side="right" skips zero-probability leaves
     target = seeded_uniforms(seeds) * cum[states, -1]
     leaves = np.empty(states.shape, dtype=np.intp)

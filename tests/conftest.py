@@ -27,7 +27,9 @@ from qlocc.entanglement import (
     SEPARABILITY_TOL,
     SeparabilityCertificate,
 )
-from qlocc.linalg import orthogonal_complement_qubit
+from qlocc.linalg import normalize, orthogonal_complement_qubit
+from qlocc.protocols import (VANISH_TOL, Conclude, Eliminate, LocalMeasurement, Measure, Node,
+                             ProtocolTree)
 from qlocc.states import complement_pair
 
 
@@ -298,6 +300,112 @@ def reference_analyze(b, p=None):
         assumptions=tuple(assumptions),
         boundary_warnings=tuple(warnings),
     )
+
+
+# The scalar pair-subroutine path that qlocc.protocols._walgate_bases
+# replaced, kept verbatim as the reference for the batched solve's
+# differential tests: protocol_to_json must agree string for string.
+
+def _isotropic_unit(m: np.ndarray) -> np.ndarray:
+    """Unit u with u^dag m u = 0 for a traceless 2x2 matrix m.
+
+    Closed form: with u = (cos t, e^{i phi} sin t) the form becomes
+    m00 cos(2t) + Re-part(phi) sin(2t); phi is chosen so the off-diagonal
+    combination aligns with m00 in the complex plane, leaving a real
+    equation for 2t.
+    """
+    m00 = m[0, 0]
+    if abs(m00) < 1e-14:
+        return np.array([1.0, 0.0], dtype=complex)
+    delta = float(np.angle(m00))
+    z1 = m[0, 1] * np.exp(-1j * delta)
+    z2 = m[1, 0] * np.exp(-1j * delta)
+    phi = math.atan2(-(z1.imag + z2.imag), z1.real - z2.real)
+    g = 0.5 * (m[0, 1] * np.exp(1j * phi) + m[1, 0] * np.exp(-1j * phi))
+    gr = (g * np.exp(-1j * delta)).real
+    t = 0.5 * math.atan2(-abs(m00), gr)
+    return np.array([math.cos(t), np.exp(1j * phi) * math.sin(t)], dtype=complex)
+
+
+def _alice_vector(m: np.ndarray) -> np.ndarray:
+    # tr m is the pair's overlap (accepted up to ORTHILITY_ATOL); the closed form then
+    # misses by |tr m| sin^2 t, which Bob's snap absorbs.  Written so NaN fails.
+    scale = max(1.0, float(np.abs(m).max()))
+    u = _isotropic_unit(m)
+    residual = abs(u.conj() @ m @ u)
+    if not residual <= 1e-12 * scale + abs(np.trace(m)):
+        raise np.linalg.LinAlgError(f"Alice vector misses u^dag K u = 0 by {residual:.3e}")
+    return u
+
+
+def _pair_subtree(psi_vec, phi_vec, copy_index, leaf):
+    """Measurement subtree perfectly separating two orthogonal states on one
+    copy. ``leaf(winner)`` maps 'psi'/'phi' to the follow-up node."""
+    a_psi = psi_vec.reshape(2, 2)
+    a_phi = phi_vec.reshape(2, 2)
+    u = _alice_vector(a_phi @ a_psi.conj().T)
+    u_perp = orthogonal_complement_qubit(u)
+    bob_children = []
+    for w in (u, u_perp):
+        eta = a_psi.T @ w.conj()
+        nu = a_phi.T @ w.conj()
+        n_eta, n_nu = np.linalg.norm(eta), np.linalg.norm(nu)
+        if n_eta > VANISH_TOL and n_nu > VANISH_TOL:
+            b0 = normalize(eta)
+            b1 = normalize(nu - (np.vdot(b0, nu)) * b0)  # snap to exact orthogonality
+            winners = ("psi", "phi")
+        elif n_eta > VANISH_TOL:
+            b0 = normalize(eta)
+            b1 = orthogonal_complement_qubit(b0)
+            winners = ("psi", "phi")
+        elif n_nu > VANISH_TOL:
+            b0 = normalize(nu)
+            b1 = orthogonal_complement_qubit(b0)
+            winners = ("phi", "psi")
+        else:  # branch unreachable for either state
+            b0 = np.array([1.0, 0.0], dtype=complex)
+            b1 = np.array([0.0, 1.0], dtype=complex)
+            winners = ("psi", "phi")
+        bob = Measure(
+            copy_index,
+            LocalMeasurement("B", (b0, b1)),
+            (leaf(winners[0]), leaf(winners[1])),
+        )
+        bob_children.append(bob)
+    return Measure(copy_index, LocalMeasurement("A", (u, u_perp)), tuple(bob_children))
+
+
+def _knockout(vecs, candidates: tuple[int, ...], copy_index: int, memo: dict) -> Node:
+    """The tournament subtree from ``candidates`` on, round ``copy_index``;
+    ``memo`` shares equal subtrees.  Module-level, not a self-referencing
+    closure, so the finished tree is freed as soon as it is dropped."""
+    key = (candidates, copy_index)
+    if key not in memo:
+        i, j = candidates[0], candidates[1]
+
+        def leaf(winner: str) -> Node:
+            won = i if winner == "psi" else j
+            if len(candidates) == 2:
+                return Conclude(won)
+            lost = j if won == i else i
+            rest = tuple(c for c in candidates if c != lost)
+            return Eliminate(lost, _knockout(vecs, rest, copy_index + 1, memo))
+
+        memo[key] = _pair_subtree(vecs[i], vecs[j], copy_index, leaf)
+    return memo[key]
+
+
+def reference_pair_protocol(psi, phi):
+    root = _pair_subtree(
+        psi.amplitudes, phi.amplitudes, 0,
+        lambda winner: Conclude(0 if winner == "psi" else 1),
+    )
+    return ProtocolTree(copies=1, root=root)
+
+
+def reference_tournament(b, copies=3):
+    return ProtocolTree(copies=copies,
+                        root=_knockout([k.amplitudes for k in b], (0, 1, 2, 3), 0, {}))
 
 
 @pytest.fixture

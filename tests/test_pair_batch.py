@@ -1,0 +1,134 @@
+"""The batched pair subroutine (`qlocc.protocols._walgate_bases`) against the
+scalar path it replaced (`conftest.reference_pair_protocol`,
+`conftest.reference_tournament`), and `simulate`'s outputs against bytes
+written by that path."""
+
+import contextlib
+import io
+import math
+import warnings
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qlocc import (
+    BipartiteKet,
+    FamilyParams,
+    a_basis,
+    elimination_tournament,
+    protocol_to_json,
+    theta_basis,
+    validate_basis,
+    walgate_pair_protocol,
+)
+from qlocc.cli import main
+from qlocc.protocols import VANISH_TOL, _walgate_bases
+from conftest import (
+    born_rule_leaves,
+    conditional_bob_states,
+    haar_unitary,
+    random_basis,
+    random_low_entanglement_basis,
+    reference_pair_protocol,
+    reference_tournament,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
+PI_4_TEXT = "0.78539816339744831"
+
+GOLDEN_SIMULATIONS = {
+    "simulate_tournament": [
+        "simulate", "--protocol", "tournament", "--family", "A", "--alpha", "0.3",
+        "--beta", "0.9", "--gamma", PI_4_TEXT, "--runs", "200", "--seed", "7"],
+    "simulate_bell_grouping": [
+        "simulate", "--protocol", "bell-grouping", "--family", "theta", "--theta", "0.6",
+        "--runs", "100", "--seed", "3"],
+}
+
+
+def protocol_inputs(rng):
+    """Haar and low-entanglement bases, product bases (the computational basis
+    and its images under random U_A (x) U_B), the family-A grid with its 0 and
+    pi/2 edges, and a theta grid.  The product bases reach every Bob branch:
+    both states, one of them, or neither after an Alice outcome."""
+    cases = [random_basis(rng) for _ in range(10)]
+    cases += [random_low_entanglement_basis(rng) for _ in range(10)]
+    computational = validate_basis([BipartiteKet(v) for v in np.eye(4)], label="computational")
+    cases.append(computational)
+    for _ in range(10):
+        u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        cases.append(validate_basis([BipartiteKet(u @ k.amplitudes) for k in computational],
+                                    label="product"))
+    edge = np.linspace(0.0, math.pi / 2, 9)
+    cases += [a_basis(FamilyParams(alpha=al, beta=be, gamma=ga))
+              for al in edge for be in edge for ga in np.linspace(0.0, math.pi / 2, 7)]
+    return cases + [theta_basis(t) for t in np.linspace(0.0, math.pi / 2, 41)]
+
+
+def bob_branches(tree, psi, phi) -> set:
+    """Which of psi and phi reach each of Alice's outcomes in a pair tree."""
+    reach = {(True, True): "both", (True, False): "psi only",
+             (False, True): "phi only", (False, False): "neither"}
+    return {reach[tuple(np.linalg.norm(conditional_bob_states(u, k.amplitudes)) > VANISH_TOL
+                        for k in (psi, phi))]
+            for u in tree.root.measurement.basis}
+
+
+def test_pair_protocols_equal_reference_path(rng):
+    mismatched, branches = [], set()
+    for n, b in enumerate(protocol_inputs(rng)):
+        for i, j in combinations(range(4), 2):
+            reference = reference_pair_protocol(b[i], b[j])
+            branches |= bob_branches(reference, b[i], b[j])
+            if protocol_to_json(walgate_pair_protocol(b[i], b[j])) != protocol_to_json(reference):
+                mismatched.append((n, b.label, i, j))
+    assert mismatched == []
+    assert branches == {"both", "psi only", "phi only", "neither"}
+
+
+def test_tournaments_equal_reference_path_and_born_rule_oracle(rng):
+    # every pair solve is checked above; this checks the knockout's wiring,
+    # including Bob's winner swap, and the compiled table on each input state
+    inputs = protocol_inputs(rng)
+    for b in inputs[:31] + inputs[31:-41:19] + inputs[-41::8]:
+        tree = elimination_tournament(b)
+        assert protocol_to_json(tree) == protocol_to_json(reference_tournament(b)), b.label
+        table = tree.leaves
+        for k in b:
+            oracle = born_rule_leaves(tree, k.amplitudes)
+            assert set(oracle) <= set(table.transcripts)
+            for leaf, p in enumerate(table.probabilities(k.amplitudes)):
+                index, prob = oracle.get(table.transcripts[leaf], (table.conclusions[leaf], 0.0))
+                assert index == table.conclusions[leaf]
+                assert abs(p - prob) < 1e-12
+
+
+def test_batched_solve_raises_no_runtime_warning(rng):
+    # the vanishing branches must not divide by their (near-)zero norms
+    kets = np.array([[b[i].amplitudes, b[j].amplitudes] for b in protocol_inputs(rng)
+                     for i, j in combinations(range(4), 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alice, bob, swap = _walgate_bases(kets[:, 0], kets[:, 1])
+    assert swap.any() and not swap.all()
+    for basis in (alice, bob):
+        gram = basis.conj() @ np.swapaxes(basis, -1, -2)
+        assert np.abs(gram - np.eye(2)).max() < 1e-10
+
+
+def _simulate(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATIONS))
+def test_simulate_reproduces_golden_bytes(name, tmp_path):
+    tree = tmp_path / "tree.json"
+    stdout = _simulate(GOLDEN_SIMULATIONS[name] + ["--protocol-out", str(tree)])
+    assert stdout == (DATA / f"{name}.stdout.json").read_text(encoding="utf-8")
+    assert tree.read_text(encoding="utf-8") == \
+        (DATA / f"{name}.protocol.json").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -247,6 +248,34 @@ def test_measurement_basis_must_be_orthonormal():
         LocalMeasurement("A", (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
 
 
+def test_measurement_basis_needs_exactly_two_vectors():
+    z0, z1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for basis in ((z0, z1, z0), (z0,), ()):
+        with pytest.raises(ValueError, match="exactly two vectors"):
+            LocalMeasurement("A", basis)
+
+
+def test_measurement_checks_keep_their_messages():
+    z0, z1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    cases = [
+        (("C", (z0, z1)), "party must be 'A' or 'B'"),
+        (("B", (z0, np.array([0.0, 1.0, 0.0]))), "expected a vector of dimension 2"),
+        (("B", (np.zeros(3), z1)), "expected a vector of dimension 2"),
+        (("A", (z0, np.array([np.nan, 1.0]))), "NaN or Inf"),
+        (("A", (z0, np.array([0.0, np.inf]))), "NaN or Inf"),
+        (("A", (z0, (1 + 1e-9) * z1)), "not orthonormal"),
+        (("A", (np.array([1e200, 0.0]), z1)), "not orthonormal"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow in the check stays silent
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LocalMeasurement(*args)
+    m = LocalMeasurement("B", (z0.reshape(2, 1), [0, 1j]))  # any shape holding two entries
+    assert [v.tolist() for v in m.basis] == [[1, 0], [0, 1j]]
+    assert not any(v.flags.writeable for v in m.basis)
+
+
 # --- sampling ------------------------------------------------------------------------------
 
 def test_sample_tournament_always_identifies_truth(rng):
@@ -471,6 +500,20 @@ def test_sample_run_is_one_run_of_sample_runs():
         alone = sample_run(tree, b, int(states[r]), seed=int(seeds[r]))
         assert alone == RunOutcome(int(table.conclusions[leaves[r]]),
                                    table.transcripts[leaves[r]], float(probs[r]))
+
+
+def test_sample_run_follows_the_basis_it_is_given():
+    # the table keeps one basis's leaf probabilities; another basis replaces them
+    rng = np.random.default_rng(808)
+    tree = elimination_tournament(random_basis(rng))
+    bases = [random_basis(rng), random_basis(rng)]
+    oracle = [[born_rule_leaves(tree, k.amplitudes) for k in b] for b in bases]
+    for r in range(400):
+        n = r // 3 % 2
+        out = sample_run(tree, bases[n], r % 4, seed=r)
+        index, prob = oracle[n][r % 4][out.transcript]
+        assert index == out.guessed_index
+        assert abs(out.probability - prob) < 1e-12
 
 
 def test_sample_runs_frequencies_match_born_rule_oracle():
