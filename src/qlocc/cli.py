@@ -28,7 +28,6 @@ from .classify import (
 )
 from .entanglement import pt_spectrum_p12_closed
 from .protocols import (
-    basis_leaf_probabilities,
     bell_grouping_protocol,
     elimination_tournament,
     exact_success_probability,
@@ -213,12 +212,11 @@ def cmd_simulate(args) -> int:
         basis, tree = theta_basis(theta), bell_grouping_protocol(theta)
     else:
         raise ValueError("bell-grouping needs --family theta --theta VALUE")
-    leaf_probs = basis_leaf_probabilities(tree, basis)  # shared by both evaluations
-    exact = exact_success_probability(tree, basis, leaf_probs)
+    exact = exact_success_probability(tree, basis)
     states = np.arange(args.runs) % 4  # run r prepares state r % 4
     # and draws with seed (seed + r) mod 2**64: uint64 addition wraps
     seeds = np.arange(args.runs, dtype=np.uint64) + np.uint64(seed % 2**64)
-    leaves, _ = sample_runs(tree, basis, states, seeds, leaf_probs)
+    leaves, _ = sample_runs(tree, basis, states, seeds)
     hits = states[tree.leaves.conclusions[leaves] == states]
     per_state = np.bincount(hits, minlength=4).tolist()
     successes = sum(per_state)

@@ -6,7 +6,15 @@ computational basis is ordered (|00>, |01>, |10>, |11>).
 
 The array functions below also take stacks (leading axes) and give each
 member the same bits as a call on that member alone, so batched and
-single-basis results agree exactly.
+single-basis results agree exactly.  Three rules keep those bits:
+
+- arctangents, cosines and sines are libm's (`libm`), since np.arctan2
+  does not match math.atan2 on every input;
+- complex products of scalars are written out in the real arithmetic a
+  complex scalar multiplies with (`cmul`), since numpy's array loops may
+  fuse multiply-adds;
+- norms, matrix products and inner products go through the BLAS dot that a
+  single vector's np.linalg.norm, `@` and np.vdot make (`vector_norms`).
 """
 
 from __future__ import annotations
@@ -59,11 +67,22 @@ def outer(v) -> np.ndarray:
 
 
 def vector_norms(v) -> np.ndarray:
-    """Euclidean norm over the last axis, summed as np.linalg.norm sums one
-    complex vector: the real parts' squares plus the imaginary parts'."""
+    """np.linalg.norm of each complex vector along the last axis, bit for bit:
+    the dot products of its real and of its imaginary parts, summed."""
     v = np.asarray(v, dtype=complex)
-    re, im = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
-    return np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def libm(f, *args: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied elementwise to float arrays."""
+    values = map(f, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, dtype=float, count=args[0].size).reshape(args[0].shape)
+
+
+def cmul(ar, ai, br, bi):
+    """(a * b).real, (a * b).imag as numpy multiplies two complex scalars."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def adjoint(m) -> np.ndarray:
@@ -124,14 +143,14 @@ def canonical_phase(v) -> tuple[np.ndarray, np.ndarray]:
 def det2(m):
     """Determinant of a 2x2 matrix (or of each in a stack (..., 2, 2)).
 
-    Written out in real arithmetic, the way a complex scalar multiplies, so
-    a stack gives each matrix the bits of a call on that matrix alone.
+    Written with `cmul`, so a stack gives each matrix the bits of a call on
+    that matrix alone.
     """
     m = np.asarray(m, dtype=complex)
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
-    im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
-    return (re + 1j * im)[()]
+    adr, adi = cmul(a.real, a.imag, d.real, d.imag)
+    bcr, bci = cmul(b.real, b.imag, c.real, c.imag)
+    return ((adr - bcr) + 1j * (adi - bci))[()]
 
 
 def orthogonal_complement_qubit(u) -> np.ndarray:

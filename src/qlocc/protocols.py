@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .linalg import as_complex_vector
+from .linalg import as_complex_vector, cmul, libm, vector_norms
 from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 
 ORTHILITY_ATOL = 1e-10
@@ -221,23 +221,8 @@ def validate_tree(t: ProtocolTree) -> None:
 
 # --- the pair subroutine, batched ----------------------------------------------
 #
-# A stack member gets the bits of a one-pair computation: complex products of
-# scalars are written in the real arithmetic a complex scalar uses (numpy's
-# array loops may fuse multiply-adds), the arctangents, cosines and sines are
-# libm's (np.arctan2 does not match math.atan2 on every input), and matrix
-# products, norms and inner products go through the BLAS calls a single
-# vector's `@`, np.linalg.norm and np.vdot make.
-
-def _libm(f, *args: np.ndarray) -> np.ndarray:
-    """``f`` from ``math`` applied elementwise to float arrays."""
-    values = map(f, *(a.ravel().tolist() for a in args))
-    return np.fromiter(values, dtype=float, count=args[0].size).reshape(args[0].shape)
-
-
-def _cmul(ar, ai, br, bi):
-    """(a * b).real, (a * b).imag as numpy multiplies two complex scalars."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
+# A stack member gets the bits of a one-pair computation, by the rules in the
+# `linalg` module docstring.
 
 def _with_complement(u: np.ndarray) -> np.ndarray:
     """The bases with rows u and `orthogonal_complement_qubit(u)`, shape
@@ -247,14 +232,6 @@ def _with_complement(u: np.ndarray) -> np.ndarray:
     np.negative(u[..., 1].conj(), out=out[..., 1, 0])
     np.conjugate(u[..., 0], out=out[..., 1, 1])
     return out
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each complex vector along the last axis: the dot
-    products of its real and of its imaginary parts, summed.  (The einsum in
-    `linalg.vector_norms` rounds some 2-vectors differently.)"""
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _alice_vector(m: np.ndarray) -> np.ndarray:
@@ -273,17 +250,17 @@ def _alice_vector(m: np.ndarray) -> np.ndarray:
     m00, m01, m10 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]
     r = np.hypot(m00.real, m00.imag)  # abs() of a complex scalar, bit for bit
     e = np.exp(-1j * np.angle(m00))
-    z1r, z1i = _cmul(m01.real, m01.imag, e.real, e.imag)
-    z2r, z2i = _cmul(m10.real, m10.imag, e.real, e.imag)
-    phi = _libm(math.atan2, -(z1i + z2i), z1r - z2r)
+    z1r, z1i = cmul(m01.real, m01.imag, e.real, e.imag)
+    z2r, z2i = cmul(m10.real, m10.imag, e.real, e.imag)
+    phi = libm(math.atan2, -(z1i + z2i), z1r - z2r)
     p, q = np.exp(1j * phi), np.exp(-1j * phi)
-    ar, ai = _cmul(m01.real, m01.imag, p.real, p.imag)
-    br, bi = _cmul(m10.real, m10.imag, q.real, q.imag)
-    gr = _cmul(0.5 * (ar + br), 0.5 * (ai + bi), e.real, e.imag)[0]  # Re(g e^{-i delta})
-    t = 0.5 * _libm(math.atan2, -r, gr)
+    ar, ai = cmul(m01.real, m01.imag, p.real, p.imag)
+    br, bi = cmul(m10.real, m10.imag, q.real, q.imag)
+    gr = cmul(0.5 * (ar + br), 0.5 * (ai + bi), e.real, e.imag)[0]  # Re(g e^{-i delta})
+    t = 0.5 * libm(math.atan2, -r, gr)
     u = np.empty(m.shape[:-1], dtype=complex)
-    u.real[..., 0], u.imag[..., 0] = _libm(math.cos, t), 0.0
-    u.real[..., 1], u.imag[..., 1] = _cmul(p.real, p.imag, _libm(math.sin, t), 0.0)
+    u.real[..., 0], u.imag[..., 0] = libm(math.cos, t), 0.0
+    u.real[..., 1], u.imag[..., 1] = cmul(p.real, p.imag, libm(math.sin, t), 0.0)
     u[r < 1e-14] = 1.0, 0.0
     residual = np.abs(u.conj()[..., None, :] @ m @ u[..., :, None])[..., 0, 0]
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
@@ -313,7 +290,7 @@ def _walgate_bases(psi: np.ndarray, phi: np.ndarray):
     w = alice.conj()[..., None]
     eta = (a_psi.swapaxes(-1, -2)[:, None] @ w)[..., 0]
     nu = (a_phi.swapaxes(-1, -2)[:, None] @ w)[..., 0]
-    n_eta, n_nu = _norms(eta), _norms(nu)
+    n_eta, n_nu = vector_norms(eta), vector_norms(nu)
     has_eta, has_nu = n_eta > VANISH_TOL, n_nu > VANISH_TOL
     both = has_eta & has_nu
     first = np.where(has_eta[..., None], eta, nu)  # the state Bob's outcome 0 names
@@ -321,7 +298,7 @@ def _walgate_bases(psi: np.ndarray, phi: np.ndarray):
     bob = _with_complement(first / n_first[..., None])
     b0, nu = bob[both, 0], nu[both]
     snap = nu - (b0.conj()[:, None, :] @ nu[:, :, None])[:, 0] * b0  # np.vdot(b0, nu) b0
-    bob[both, 1] = snap / _norms(snap)[:, None]  # snapped to exact orthogonality
+    bob[both, 1] = snap / vector_norms(snap)[:, None]  # snapped to exact orthogonality
     bob[~(has_eta | has_nu)] = np.eye(2)
     return alice, bob, has_nu & ~has_eta
 
@@ -407,23 +384,15 @@ def outcome_distribution(t: ProtocolTree, initial: np.ndarray) -> np.ndarray:
     return np.bincount(table.conclusions, weights=p, minlength=4)
 
 
-def basis_leaf_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
-    """Exact leaf probabilities of the four basis states, shape (4, L), read-only."""
-    return t.leaves.basis_probabilities(b.matrix())[0]
-
-
-def success_probabilities(t: ProtocolTree, b: OrthonormalBasis,
-                          leaf_probs: np.ndarray | None = None) -> np.ndarray:
-    """P(conclude = i | input state i) for each of the four basis states;
-    ``leaf_probs`` is `basis_leaf_probabilities(t, b)` when already known."""
-    p = basis_leaf_probabilities(t, b) if leaf_probs is None else leaf_probs
+def success_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:
+    """P(conclude = i | input state i) for each of the four basis states."""
+    p = t.leaves.basis_probabilities(b.matrix())[0]
     return np.where(t.leaves.conclusions == np.arange(4)[:, None], p, 0.0).sum(axis=1)
 
 
-def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis,
-                              leaf_probs: np.ndarray | None = None) -> float:
+def exact_success_probability(t: ProtocolTree, b: OrthonormalBasis) -> float:
     """Average success under the uniform prior: (1/4) sum_i P(i | i)."""
-    return float(np.mean(success_probabilities(t, b, leaf_probs)))
+    return float(np.mean(success_probabilities(t, b)))
 
 
 def seeded_uniforms(seeds) -> np.ndarray:
@@ -437,26 +406,27 @@ def seeded_uniforms(seeds) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53  # exact: 53-bit integers convert without rounding
 
 
-def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices, seeds,
-                leaf_probs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices,
+                seeds) -> tuple[np.ndarray, np.ndarray]:
     """Born-rule sampled executions: run r prepares ``b[true_indices[r]]`` on
     every copy and draws one leaf with the uniform of ``seeds[r]`` (integers in
     [0, 2**64)).  Returns each run's index into ``t.leaves`` and that leaf's
     exact probability given the run's input.
 
     The leaf probabilities of the four basis states are computed once per
-    basis (`LeafTable.basis_probabilities`) or passed in as ``leaf_probs``
-    (`basis_leaf_probabilities(t, b)`), and a run's leaf depends only on its
-    (input, seed) pair, so it is the same whether the run is drawn alone or
-    in any batch."""
+    basis (`LeafTable.basis_probabilities`), and a run's leaf depends only on
+    its (input, seed) pair, so it is the same whether the run is drawn alone
+    or in any batch.  ``seeds`` must have the shape of ``true_indices``."""
     states = np.atleast_1d(np.asarray(true_indices, dtype=np.intp))
     bad = states[(states < 0) | (states >= 4)]
     if bad.size:
         raise ValueError(f"true_index {bad[0]} out of range")
-    p, cum = (t.leaves.basis_probabilities(b.matrix()) if leaf_probs is None
-              else (leaf_probs, np.cumsum(leaf_probs, axis=1)))
+    uniforms = seeded_uniforms(seeds)
+    if uniforms.shape != states.shape:
+        raise ValueError(f"seeds shape {uniforms.shape} != true_indices shape {states.shape}")
+    p, cum = t.leaves.basis_probabilities(b.matrix())
     # u < 1 gives u * cum[-1] < cum[-1], and side="right" skips zero-probability leaves
-    target = seeded_uniforms(seeds) * cum[states, -1]
+    target = uniforms * cum[states, -1]
     leaves = np.empty(states.shape, dtype=np.intp)
     for s in np.unique(states):
         runs = states == s

@@ -5,6 +5,7 @@ import pytest
 
 from qlocc import protocol_from_json
 from qlocc.cli import build_parser, main
+from qlocc.protocols import LeafTable
 
 PI_4_TEXT = "0.78539816339744831"
 
@@ -272,6 +273,26 @@ def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):
     assert json.loads(analyzed)["min_copies_locc"] == 2
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("protocol", [
+    ("--protocol", "tournament", "--family", "A",
+     "--alpha", "0.3", "--beta", "0.9", "--gamma", PI_4_TEXT),
+    ("--protocol", "bell-grouping", "--family", "theta", "--theta", "0.6"),
+])
+def test_simulate_computes_leaf_probabilities_once(capsys, monkeypatch, protocol):
+    # exact evaluation and sampling share the (4, L) matrix of the four basis kets
+    shapes = []
+    probabilities = LeafTable.probabilities
+
+    def counted(self, kets):
+        shapes.append(kets.shape)
+        return probabilities(self, kets)
+
+    monkeypatch.setattr(LeafTable, "probabilities", counted)
+    code, _ = run_cli(capsys, "simulate", *protocol, "--runs", "50", "--seed", "3")
+    assert code == 0
+    assert shapes == [(4, 4)]
 
 
 def test_secret_share_roundtrip_cli(capsys, tmp_path):

@@ -11,6 +11,7 @@ from qlocc.linalg import (
     hermitian_eigenvalues,
     partial_transpose,
     tensor,
+    vector_norms,
 )
 from conftest import pt_oracle
 
@@ -125,6 +126,16 @@ def test_det2_multiplicative(seed):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert abs(det2(a @ b) - det2(a) * det2(b)) < 1e-12 * max(1.0, abs(det2(a) * det2(b)))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_vector_norms_match_np_linalg_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal((20_000, dim)) + 1j * rng.standard_normal((20_000, dim))
+    v *= 10.0 ** rng.uniform(-3, 3, size=(20_000, 1))
+    expected = np.array([np.linalg.norm(x) for x in v])
+    assert vector_norms(v).tobytes() == expected.tobytes()
+    assert vector_norms(v.reshape(100, 200, dim)).tobytes() == expected.tobytes()
 
 
 def test_canonical_phase_first_significant_real_positive(rng):

@@ -546,6 +546,15 @@ def test_sample_runs_rejects_bad_state_index():
         sample_runs(_zz_guess_protocol(), b, [0, 4], [1, 2])
 
 
+def test_sample_runs_rejects_seeds_of_another_shape():
+    # one seed per run: a single seed must not be shared by every run
+    tree, b = _zz_guess_protocol(), theta_basis(PI_4)
+    with pytest.raises(ValueError, match="seeds shape"):
+        sample_runs(tree, b, [0, 1, 2, 3], [5])
+    with pytest.raises(ValueError, match="seeds shape"):
+        sample_runs(tree, b, [0, 1], [5, 6, 7])
+
+
 def test_trees_are_freed_without_the_cycle_collector():
     b = random_basis(np.random.default_rng(707))
     gc.collect()
