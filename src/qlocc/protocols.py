@@ -18,10 +18,12 @@ closed form below.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +34,8 @@ from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 ORTHILITY_ATOL = 1e-10
 VANISH_TOL = 1e-9  # conditional branch weight below which a state never lands there
 MAX_PROTOCOL_DEPTH = 64  # protocol.v1 nesting limit; the tournament is 9 deep
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # gamma, m1, m2
+_UINT64 = 2**64 - 1
 
 
 class NotOrthogonalError(ValueError):
@@ -61,13 +62,16 @@ class LocalMeasurement:
             v = np.array(self.basis, dtype=complex).reshape(2, 2)
         except ValueError:  # ragged or of another dimension: say which, as one vector's check does
             v = np.array([as_complex_vector(b, 2) for b in self.basis])
-        if not np.abs(v).max() <= 2.0:  # NaN fails too; keeps the Gram product finite
-            if not np.isfinite(v).all():
+        a, b, c, d = x = v.ravel().tolist()  # rows (a, b) and (c, d) as Python complex numbers
+        # |z|^2 <= 4 is false for NaN (max() would skip it) and keeps the Gram entries finite
+        if not all(z.real * z.real + z.imag * z.imag <= 4.0 for z in x):
+            if not all(map(cmath.isfinite, x)):
                 raise ValueError("vector contains NaN or Inf")
             raise ValueError("measurement basis is not orthonormal")
-        g = v.conj() @ v.T
-        g.flat[::3] -= 1.0
-        if not np.abs(g).max() <= 1e-10:
+        ac, bc = a.conjugate(), b.conjugate()
+        if not (abs(ac * a + bc * b - 1.0) <= 1e-10
+                and abs(c.conjugate() * c + d.conjugate() * d - 1.0) <= 1e-10
+                and abs(ac * c + bc * d) <= 1e-10):
             raise ValueError("measurement basis is not orthonormal")
         v.setflags(write=False)
         object.__setattr__(self, "basis", (v[0], v[1]))
@@ -190,28 +194,45 @@ def _walk(node, copies: int, used: frozenset, path: tuple, cells: tuple, measure
     raise MalformedProtocolError(f"unknown node type {type(node).__name__}")
 
 
-def _compile(t: ProtocolTree) -> LeafTable:
-    """Check the structural invariants and list the leaves in one walk; each
-    distinct measurement's projectors are built once."""
-    if t.copies < 1:
+def _leaf_index(root: Node, copies: int) -> tuple:
+    """Check the structural invariants and list the leaves in one walk.
+    Returns the conclusions, the transcripts, the projector index (L, C, 2)
+    (party axis last; 0 the identity, 2 m + 1 + o outcome o of measurement m)
+    and the distinct measurements in first-visit order."""
+    if copies < 1:
         raise MalformedProtocolError("a protocol needs at least one copy")
     measured: dict[int, tuple[int, LocalMeasurement]] = {}
     leaves: list[tuple] = []
-    _walk(t.root, t.copies, frozenset(), (), (), measured, leaves)
+    _walk(root, copies, frozenset(), (), (), measured, leaves)
     conclusions, transcripts, cells = zip(*leaves)
     slot, k = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.intp).reshape(-1, 2).T
     steps = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) // 2
     copies = slot.max(initial=-1) // 2 + 1  # up to the last one measured
     index = np.zeros((len(leaves), copies, 2), dtype=np.intp)  # projector 0: identity
     index.reshape(len(leaves), 2 * copies)[np.repeat(np.arange(len(leaves)), steps), slot] = k
-    v = np.array([m.basis for _, m in measured.values()], dtype=complex).reshape(-1, 2)
+    conclusions = np.array(conclusions, dtype=np.intp)
+    conclusions.setflags(write=False)
+    return conclusions, transcripts, index, [m for _, m in measured.values()]
+
+
+def _table(conclusions: np.ndarray, transcripts: tuple, index: np.ndarray,
+           bases: np.ndarray) -> LeafTable:
+    """The leaf table applying ``index``'s projectors, built from ``bases``
+    (M, 2, 2): projector 2 m + 1 + o is |v><v| for v = bases[m, o]."""
+    v = bases.reshape(-1, 2)
     proj = np.concatenate([np.eye(2, dtype=complex)[None], np.einsum("ki,kj->kij", v, v.conj())])
     effects = np.einsum("lcij,lckm->lcikjm", proj[index[..., 0]], proj[index[..., 1]])
     effects = effects.reshape(index.shape[:2] + (4, 4))
-    conclusions = np.array(conclusions, dtype=np.intp)
-    for a in (conclusions, effects):
-        a.setflags(write=False)
+    effects.setflags(write=False)
     return LeafTable(conclusions, transcripts, effects)
+
+
+def _compile(t: ProtocolTree) -> LeafTable:
+    """The leaf table by a walk; each distinct measurement's projectors are
+    built once."""
+    conclusions, transcripts, index, measured = _leaf_index(t.root, t.copies)
+    bases = np.array([m.basis for m in measured], dtype=complex)
+    return _table(conclusions, transcripts, index, bases)
 
 
 def validate_tree(t: ProtocolTree) -> None:
@@ -303,15 +324,62 @@ def _walgate_bases(psi: np.ndarray, phi: np.ndarray):
     return alice, bob, has_nu & ~has_eta
 
 
-def _pair_node(alice, bob, swap, copy_index: int, won_psi: Node, won_phi: Node) -> Measure:
-    """The measurement subtree of one solved pair: Alice, then Bob, then the
+# --- built protocols: one shape function each, compiled once per swap pattern ----
+#
+# A shape function wires a protocol's tree from ``measurement(party, n)``, the
+# measurement in basis n of the protocol's stack of solved bases, and the pairs'
+# ``swap`` bits (K, 2).  Pair n's bases sit at 3 n (Alice's) and 3 n + 1 + o
+# (Bob's after Alice's outcome o).  Bob's swap reorders his children, so the
+# leaf order depends on the swap bits as well as on the shape.
+
+class _Slot(NamedTuple):
+    """A placeholder measurement: the party and stack position it stands for."""
+    party: str
+    n: int
+
+
+def _pair_node(measurement, swap, n: int, copy_index: int, won_psi: Node,
+               won_phi: Node) -> Measure:
+    """The measurement subtree of solved pair n: Alice, then Bob, then the
     follow-up node of the state Bob's outcome names."""
     children = tuple(
-        Measure(copy_index, LocalMeasurement("B", bob[o]),
-                (won_phi, won_psi) if swap[o] else (won_psi, won_phi))
+        Measure(copy_index, measurement("B", 3 * n + 1 + o),
+                (won_phi, won_psi) if swap[n, o] else (won_psi, won_phi))
         for o in (0, 1)
     )
-    return Measure(copy_index, LocalMeasurement("A", alice), children)
+    return Measure(copy_index, measurement("A", 3 * n), children)
+
+
+@functools.lru_cache(maxsize=128)  # 639 varied test bases give 20 tournament patterns
+def _template(shape, copies: int, swap: bytes) -> tuple:
+    """The conclusions, transcripts and projector index in stack order of the
+    tree ``shape`` wires for these swap bits, from one walk over placeholders."""
+    root = shape(_Slot, np.frombuffer(swap, dtype=bool).reshape(-1, 2))
+    conclusions, transcripts, index, measured = _leaf_index(root, copies)
+    stack_order = np.array([0] + [2 * m.n + 1 + o for m in measured for o in (0, 1)])
+    index = stack_order[index]
+    index.setflags(write=False)
+    return conclusions, transcripts, index
+
+
+def _built(shape, copies: int, bases: np.ndarray, swap: np.ndarray) -> ProtocolTree:
+    """The tree ``shape`` wires from the stack ``bases`` (M, 2, 2) and the swap
+    bits, its leaf table gathered from the template of its swap pattern (stored
+    where `ProtocolTree.leaves` caches a compiled one)."""
+    tree = ProtocolTree(copies, shape(lambda party, n: LocalMeasurement(party, bases[n]), swap))
+    tree.__dict__["leaves"] = _table(*_template(shape, copies, swap.tobytes()), bases)
+    return tree
+
+
+def _solved(kets: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The stack (3 K, 2, 2) and swap bits (K, 2) of the pair subroutine on
+    the K pairs (i, j) of rows of ``kets``, solved in one `_walgate_bases` call."""
+    alice, bob, swap = _walgate_bases(*kets[np.array(pairs).T])
+    return np.concatenate([alice[:, None], bob], axis=1).reshape(-1, 2, 2), swap
+
+
+def _pair_shape(measurement, swap) -> Node:
+    return _pair_node(measurement, swap, 0, 0, Conclude(0), Conclude(1))
 
 
 def walgate_pair_protocol(psi: BipartiteKet, phi: BipartiteKet) -> ProtocolTree:
@@ -321,13 +389,22 @@ def walgate_pair_protocol(psi: BipartiteKet, phi: BipartiteKet) -> ProtocolTree:
         raise NotOrthogonalError(
             f"states overlap by {abs(psi.overlap(phi)):.3e}"
         )
-    (alice,), (bob,), (swap,) = _walgate_bases(psi.amplitudes[None], phi.amplitudes[None])
-    return ProtocolTree(copies=1, root=_pair_node(alice, bob, swap, 0, Conclude(0), Conclude(1)))
+    return _built(_pair_shape, 1, *_solved(np.array([psi.amplitudes, phi.amplitudes]), [(0, 1)]))
 
 
 # The knockout's pairs (i, j), played on copy j - 1: copy 0 pits 0 against 1,
 # and copy c > 0 pits the winner so far against candidate c + 1.
 _KNOCKOUT = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+
+
+def _tournament_shape(measurement, swap) -> Node:
+    nodes: dict[tuple[int, int], Node] = {}
+    for n in reversed(range(len(_KNOCKOUT))):
+        i, j = _KNOCKOUT[n]
+        after = [Conclude(won) if j == 3 else Eliminate(lost, nodes[won, j + 1])
+                 for won, lost in ((i, j), (j, i))]
+        nodes[i, j] = _pair_node(measurement, swap, n, j - 1, *after)
+    return nodes[0, 1]
 
 
 def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree:
@@ -341,14 +418,22 @@ def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree
     """
     if copies < 3:
         raise ValueError("the four-candidate tournament needs at least 3 copies")
-    alice, bob, swap = _walgate_bases(*b.matrix()[np.array(_KNOCKOUT).T])
-    nodes: dict[tuple[int, int], Node] = {}
-    for n in reversed(range(len(_KNOCKOUT))):
-        i, j = _KNOCKOUT[n]
-        after = [Conclude(won) if j == 3 else Eliminate(lost, nodes[won, j + 1])
-                 for won, lost in ((i, j), (j, i))]
-        nodes[i, j] = _pair_node(alice[n], bob[n], swap[n], j - 1, *after)
-    return ProtocolTree(copies=copies, root=nodes[0, 1])
+    return _built(_tournament_shape, copies, *_solved(b.matrix(), _KNOCKOUT))
+
+
+_GROUPS = ((0, 1), (2, 3))  # selected by matching and by opposite outcomes
+_Z = 3 * len(_GROUPS)  # stack position of the computational basis, Alice's; Bob's follows
+
+
+def _bell_grouping_shape(measurement, swap) -> Node:
+    finish = []
+    for n, (i, j) in enumerate(_GROUPS):
+        second = _pair_node(measurement, swap, n, 1, Conclude(i), Conclude(j))
+        k, l = complement_pair(i, j)
+        finish.append(Eliminate(k, Eliminate(l, second)))
+    bob = measurement("B", _Z + 1)
+    children = tuple(Measure(0, bob, (finish[x], finish[1 - x])) for x in (0, 1))
+    return Measure(0, measurement("A", _Z), children)
 
 
 def bell_grouping_protocol(theta: float) -> ProtocolTree:
@@ -358,20 +443,9 @@ def bell_grouping_protocol(theta: float) -> ProtocolTree:
     outcomes select the {|00>,|11>}-supported pair, opposite outcomes the
     other pair.  Copy 1: the pair subroutine finishes the job.
     """
-    groups = ((0, 1), (2, 3))  # selected by matching and by opposite outcomes
-    alice, bob, swap = _walgate_bases(*theta_basis(theta).matrix()[np.array(groups).T])
-    finish = []
-    for n, (i, j) in enumerate(groups):
-        second = _pair_node(alice[n], bob[n], swap[n], 1, Conclude(i), Conclude(j))
-        k, l = complement_pair(i, j)
-        finish.append(Eliminate(k, Eliminate(l, second)))
-    z = np.eye(2, dtype=complex)
-
-    def bob_node(x: int) -> Node:
-        return Measure(0, LocalMeasurement("B", z), (finish[x], finish[1 - x]))
-
-    root = Measure(0, LocalMeasurement("A", z), (bob_node(0), bob_node(1)))
-    return ProtocolTree(copies=2, root=root)
+    bases, swap = _solved(theta_basis(theta).matrix(), _GROUPS)
+    z = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))
+    return _built(_bell_grouping_shape, 2, np.concatenate([bases, z]), swap)
 
 
 # --- execution ----------------------------------------------------------------
@@ -399,11 +473,22 @@ def seeded_uniforms(seeds) -> np.ndarray:
     """One uniform in [0, 1) per seed in [0, 2**64): the top 53 bits of the
     first SplitMix64 output for that seed (Steele, Lea and Flood, OOPSLA 2014).
     Stateless, so each value depends on its own seed alone."""
-    z = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)) + _SPLITMIX_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_M1
-    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_M2
+    gamma, m1, m2 = map(np.uint64, _SPLITMIX)
+    z = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)) + gamma
+    z = (z ^ (z >> np.uint64(30))) * m1
+    z = (z ^ (z >> np.uint64(27))) * m2
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)) * 2.0**-53  # exact: 53-bit integers convert without rounding
+
+
+def _seeded_uniform(seed: int) -> float:
+    """`seeded_uniforms` of one seed, in Python integer arithmetic."""
+    gamma, m1, m2 = _SPLITMIX
+    z = (seed + gamma) & _UINT64
+    z = ((z ^ (z >> 30)) * m1) & _UINT64
+    z = ((z ^ (z >> 27)) * m2) & _UINT64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
 
 
 def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices,
@@ -436,15 +521,22 @@ def sample_runs(t: ProtocolTree, b: OrthonormalBasis, true_indices,
 
 def sample_run(t: ProtocolTree, b: OrthonormalBasis, true_index: int, seed: int) -> RunOutcome:
     """One run of `sample_runs`, with any non-negative integer seed taken
-    modulo 2**64."""
+    modulo 2**64: the same uniform, scaled and searched in the same running
+    sums.  Only the uniform is made without numpy, because one-element arrays
+    cost most of a one-run call."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    (leaf,), (prob,) = sample_runs(t, b, [true_index], [seed % 2**64])
+    state = int(true_index)
+    if not 0 <= state < 4:
+        raise ValueError(f"true_index {true_index} out of range")
     table = t.leaves
+    p, cum = table.basis_probabilities(b.matrix())
+    row = cum[state]
+    leaf = int(row.searchsorted(_seeded_uniform(int(seed) % 2**64) * row[-1], side="right"))
     return RunOutcome(
         guessed_index=int(table.conclusions[leaf]),
         transcript=table.transcripts[leaf],
-        probability=float(prob),
+        probability=float(p[state, leaf]),
     )
 
 

@@ -411,3 +411,21 @@ def reference_tournament(b, copies=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+# The numpy orthonormality check that LocalMeasurement.__post_init__ made
+# before it checked in Python complex arithmetic, kept verbatim as the
+# reference for its differential test: both must accept and reject alike.
+
+def reference_measurement_check(basis) -> None:
+    """Raise LocalMeasurement's ValueError for a 2x2 basis (rows the vectors)
+    that is not orthonormal or not finite."""
+    v = np.array(basis, dtype=complex).reshape(2, 2)
+    if not np.abs(v).max() <= 2.0:  # NaN fails too; keeps the Gram product finite
+        if not np.isfinite(v).all():
+            raise ValueError("vector contains NaN or Inf")
+        raise ValueError("measurement basis is not orthonormal")
+    g = v.conj() @ v.T
+    g.flat[::3] -= 1.0
+    if not np.abs(g).max() <= 1e-10:
+        raise ValueError("measurement basis is not orthonormal")

@@ -17,6 +17,7 @@ from qlocc import (
     BipartiteKet,
     FamilyParams,
     a_basis,
+    bell_grouping_protocol,
     elimination_tournament,
     protocol_to_json,
     theta_basis,
@@ -24,7 +25,7 @@ from qlocc import (
     walgate_pair_protocol,
 )
 from qlocc.cli import main
-from qlocc.protocols import VANISH_TOL, _walgate_bases
+from qlocc.protocols import _KNOCKOUT, VANISH_TOL, _compile, _walgate_bases
 from conftest import (
     born_rule_leaves,
     conditional_bob_states,
@@ -132,3 +133,23 @@ def test_simulate_reproduces_golden_bytes(name, tmp_path):
     assert stdout == (DATA / f"{name}.stdout.json").read_text(encoding="utf-8")
     assert tree.read_text(encoding="utf-8") == \
         (DATA / f"{name}.protocol.json").read_text(encoding="utf-8")
+
+
+def test_built_leaf_tables_equal_the_walk_bit_for_bit(rng):
+    # a built tree takes its table from the template of its swap pattern;
+    # Bob's swap reorders the leaves, so the inputs must set some swap bits
+    inputs = protocol_inputs(rng)
+    kets = np.array([b.matrix() for b in inputs])[:, np.array(_KNOCKOUT).T]
+    swap = _walgate_bases(kets[:, 0].reshape(-1, 4), kets[:, 1].reshape(-1, 4))[2]
+    assert swap.any()
+    trees = [elimination_tournament(b) for b in inputs]
+    trees += [walgate_pair_protocol(b[i], b[j]) for b in inputs
+              for i, j in combinations(range(4), 2)]
+    trees += [bell_grouping_protocol(t) for t in np.linspace(0.0, math.pi / 2, 41)]
+    for tree in trees:
+        assert "leaves" in vars(tree)  # gathered at build time, not walked on first use
+        table, walked = tree.leaves, _compile(tree)
+        assert table.conclusions.tobytes() == walked.conclusions.tobytes()
+        assert table.transcripts == walked.transcripts
+        assert table.effects.shape == walked.effects.shape
+        assert table.effects.tobytes() == walked.effects.tobytes()

@@ -31,6 +31,7 @@ from qlocc.protocols import (
     Measure,
     ProtocolTree,
     RunOutcome,
+    _seeded_uniform,
     outcome_distribution,
     seeded_uniforms,
     transcript_to_csv,
@@ -44,6 +45,7 @@ from conftest import (
     random_basis,
     random_orthogonal_pair,
     random_qubit,
+    reference_measurement_check,
 )
 from qlocc.linalg import orthogonal_complement_qubit
 
@@ -276,6 +278,40 @@ def test_measurement_checks_keep_their_messages():
     assert not any(v.flags.writeable for v in m.basis)
 
 
+def _verdict(check, basis):
+    try:
+        check(basis)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_measurement_check_equals_the_numpy_check():
+    rng = np.random.default_rng(1101)
+    cases = [haar_unitary(rng, 2).T for _ in range(500)]
+    for _ in range(500):  # Gram entries straddling the 1e-10 tolerance
+        v = haar_unitary(rng, 2).T
+        t = rng.uniform(0.5e-10, 1.5e-10)
+        w = [v[0], v[1] * (1 + t / 2), v[1] + t * v[0], v[0] + t * random_qubit(rng)]
+        k = rng.integers(3)
+        cases.append(np.array([w[3], v[1]]) if k == 2 else np.array([v[0], w[1 + k]]))
+    for bad in (np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(0.0, -np.inf), 1e200):
+        for entry in range(4):
+            v = haar_unitary(rng, 2).T.copy()
+            v.flat[entry] = bad
+            cases.append(v)
+    verdicts = {"accepted": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in cases:
+            expected = _verdict(reference_measurement_check, basis)
+            assert _verdict(lambda b: LocalMeasurement("A", tuple(b)), basis) == expected, basis
+            verdicts[expected] = verdicts.get(expected, 0) + 1
+    assert verdicts.keys() == {"accepted", "vector contains NaN or Inf",
+                               "measurement basis is not orthonormal"}
+    assert verdicts["accepted"] > 500  # the perturbed half is accepted as well as rejected
+
+
 # --- sampling ------------------------------------------------------------------------------
 
 def test_sample_tournament_always_identifies_truth(rng):
@@ -486,6 +522,38 @@ def test_seeded_uniforms_follow_splitmix64_in_unit_interval():
     u = seeded_uniforms(np.array(seeds, dtype=np.uint64))
     assert u.tolist() == [_splitmix64_uniform(s) for s in seeds]
     assert np.all((0.0 <= u) & (u < 1.0))
+
+
+def test_scalar_uniform_equals_seeded_uniforms():
+    seeds = [0, 1, 7, 2**63, 2**64 - 1]
+    seeds += np.random.default_rng(1102).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+    u = seeded_uniforms(np.array(seeds, dtype=np.uint64))
+    assert [_seeded_uniform(s) for s in seeds] == u.tolist()
+
+
+def test_a_zero_uniform_skips_zero_probability_leaves():
+    # seed -gamma mod 2**64 starts SplitMix64 at 0, whose output is 0
+    seed = 2**64 - 0x9E3779B97F4A7C15
+    assert _seeded_uniform(seed) == seeded_uniforms([seed])[0] == 0.0
+    b = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=PI_4))
+    tree = elimination_tournament(b)
+    p = tree.leaves.basis_probabilities(b.matrix())[0]
+    states = [s for s in range(4) if p[s, 0] == 0.0]
+    assert states  # the first leaf is out of reach of some input
+    leaves, probs = sample_runs(tree, b, states, [seed] * len(states))
+    for s, leaf, prob in zip(states, leaves, probs):
+        assert prob > 0.0 and leaf == np.flatnonzero(p[s])[0]
+        assert sample_run(tree, b, s, seed).transcript == tree.leaves.transcripts[leaf]
+
+
+def test_sample_run_rejects_what_sample_runs_rejects():
+    b = theta_basis(0.6)
+    tree = bell_grouping_protocol(0.6)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"true_index {bad} out of range"):
+            sample_runs(tree, b, [bad], [0])
+        with pytest.raises(ValueError, match=f"true_index {bad} out of range"):
+            sample_run(tree, b, bad, 0)
 
 
 def test_sample_run_is_one_run_of_sample_runs():
