@@ -40,7 +40,7 @@ from .entanglement import (
 )
 from .linalg import det2
 from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, check_orthonormal,
-                     coefficient_matrices, complement_pair)
+                     coefficient_matrices, complement_pair, grid_indices)
 from .states import coefficient_matrix  # noqa: F401  re-exported: tests import it from here
 
 ANTIPARALLEL_IM_TOL = 1e-8
@@ -315,14 +315,21 @@ def _surface_gaps(p: FamilyParams) -> tuple[float, float]:
     return t - r_a3, t - r_a4
 
 
-def region_grid(alphas, betas, gammas) -> np.ndarray:
-    """Indices into REGIONS for every point of the alpha x beta x gamma grid,
-    alpha-major, with -1 where alpha or beta sits at 0 or pi/2 (where the
-    sin(2 alpha)/sin(2 beta) ratios degenerate).  The sines and tangents are
-    taken once per axis value."""
-    s2a = np.array([math.sin(2 * a) for a in alphas])[:, None, None]
-    s2b = np.array([math.sin(2 * b) for b in betas])[None, :, None]
-    t = np.array([math.tan(g) ** 2 for g in gammas])
+def region_axes(alphas, betas, gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(2 alpha), sin(2 beta) and tan^2(gamma) of each value of an
+    alpha x beta x gamma grid's axes, taken once per value: what
+    `region_points` gathers."""
+    return (np.array([math.sin(2 * a) for a in alphas], dtype=float),
+            np.array([math.sin(2 * b) for b in betas], dtype=float),
+            np.array([math.tan(g) ** 2 for g in gammas], dtype=float))
+
+
+def region_points(axes, ia, ib, ig) -> np.ndarray:
+    """Indices into REGIONS at the grid points (alphas[ia], betas[ib],
+    gammas[ig]), with -1 where alpha or beta sits at 0 or pi/2 (where the
+    sin(2 alpha)/sin(2 beta) ratios degenerate); ``axes`` is
+    region_axes(alphas, betas, gammas)."""
+    s2a, s2b, t = axes[0][ia], axes[1][ib], axes[2][ig]
     with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate cells
         g3, g4 = t - s2b / s2a, t - s2a / s2b  # gaps to state 3's and state 4's surface
     on_a3 = np.abs(g3) < REGION_BOUNDARY_TOL
@@ -330,7 +337,14 @@ def region_grid(alphas, betas, gammas) -> np.ndarray:
     off = np.where((g3 <= 0.0) & (0.0 <= g4), 0, np.where(
         (g4 <= 0.0) & (0.0 <= g3), 1, np.where(np.minimum(g3, g4) >= 0.0, 2, 3)))
     index = np.where(on_a3, np.where(on_a4, 6, 4), np.where(on_a4, 5, off))
-    return np.where(np.minimum(s2a, s2b) < 1e-12, -1, index).reshape(-1)
+    return np.where(np.minimum(s2a, s2b) < 1e-12, -1, index)
+
+
+def region_grid(alphas, betas, gammas) -> np.ndarray:
+    """`region_points` at every point of the alpha x beta x gamma grid,
+    alpha-major."""
+    return region_points(region_axes(alphas, betas, gammas),
+                         *grid_indices((len(alphas), len(betas), len(gammas))))
 
 
 def region(p: FamilyParams) -> Region:

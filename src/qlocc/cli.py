@@ -8,22 +8,26 @@ significant digits so repeated runs are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import codec
 from .classify import (
+    BLOCK_SIZE,
     PAIRS,
     REGIONS,
     FamilyParams,
     analyze,
     decide,
     region,  # not called here; bench/tracing.py wraps qlocc.cli.region by name
-    region_grid,
+    region_axes,
+    region_points,
     report_to_json,
 )
 from .entanglement import pt_spectrum_p12_closed
@@ -43,8 +47,8 @@ from .secretshare import (
     strong_pair_shares,
     strong_pair_to_json,
 )
-from .states import (OrthonormalBasis, a_basis, basis_from_json, check_angle, family_a_kets,
-                     theta_basis, theta_kets)
+from .states import (OrthonormalBasis, a_basis, basis_from_json, check_angle, family_a_axes,
+                     family_a_point_kets, grid_indices, theta_basis, theta_kets)
 
 SCAN_COLUMNS = (
     "family", "theta", "alpha", "beta", "gamma",
@@ -58,8 +62,7 @@ REGION_LABELS = tuple(r.name if r.which is None else f"{r.name}:{r.which}"
                       for r in REGIONS) + ("degenerate",)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_fmt = "%.12g".__mod__  # a float with 12 significant digits, as f"{x:.12g}"
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -121,42 +124,57 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _pick(strings, index) -> list[str]:
-    return np.array(strings, dtype=object)[index].tolist()
+def _labels(values) -> np.ndarray:
+    """One formatted string per value, as an object array to gather rows from."""
+    return np.array(list(map(_fmt, values)), dtype=object)
 
 
-def _scan_table(family: str, axes: dict[str, list[float]]) -> dict[str, list[str]]:
-    """Every scan column as one string per grid point (alpha-major); columns
-    that do not apply to the family stay empty.  The kernel decides the whole
-    grid; each distinct axis value and (alpha, beta) pair is formatted once."""
+def _scan_blocks(family: str, axes: dict[str, list[float]],
+                 columns: tuple[str, ...]) -> Iterator[str]:
+    """The scan's CSV rows (alpha-major) in text chunks of BLOCK_SIZE grid
+    points: each block's kets are built, decided, labelled and formatted
+    before the next is touched, so memory stays flat in grid size.  Only the
+    per-axis labels and the per-(alpha, beta) closed-form spectra live for
+    the whole scan.  Columns that do not apply to the family stay empty."""
     if family == "A":
         al, be, ga = axes["alpha"], axes["beta"], axes["gamma"]
-        kets = family_a_kets(al, be, ga)
+        shape = (len(al), len(be), len(ga))
+        ket_axes, region_ax = family_a_axes(al, be, ga), region_axes(al, be, ga)
+        labels = [_labels(axis) for axis in (al, be, ga)]
+        regions = np.array(REGION_LABELS, dtype=object)
+        spectra = np.array([pt_spectrum_p12_closed(a, b) for a in al for b in be])
+        spectrum_labels = [_labels(e) for e in spectra.T.tolist()]  # per (alpha, beta)
     else:
-        kets = theta_kets(axes["theta"])
-    d = decide(kets)
-    n = len(kets)
-    table = dict.fromkeys(SCAN_COLUMNS, [""] * n)
-    table["family"] = [family] * n
-    if family == "A":
-        ia, ib, ig = np.unravel_index(np.arange(n), (len(al), len(be), len(ga)))
-        for name, axis, index in (("alpha", al, ia), ("beta", be, ib), ("gamma", ga, ig)):
-            table[name] = _pick([_fmt(v) for v in axis], index)
-        table["region"] = _pick(REGION_LABELS, region_grid(al, be, ga))
-        spectra = [pt_spectrum_p12_closed(a, b).tolist() for a in al for b in be]
-        for k in range(4):
-            table[f"e{k + 1}_p12"] = _pick([_fmt(e[k]) for e in spectra], ia * len(be) + ib)
-    else:
-        table["theta"] = [_fmt(t) for t in axes["theta"]]
-    for k, column in enumerate(d.concurrences.T.tolist()):
-        table[f"c{k + 1}"] = [_fmt(c) for c in column]
-    for (i, j), column in zip(PAIRS, d.min_pt.T.tolist()):
-        table[f"min_pt_{i}{j}"] = [_fmt(m) for m in column]
-    for name, values in (("entangled_count", d.entangled_count),
-                         ("min_copies_locc", d.min_copies_locc),
-                         ("min_copies_sep", d.min_copies_sep)):
-        table[name] = [str(v) for v in values.tolist()]
-    return table
+        shape = (len(axes["theta"]),)
+    n = math.prod(shape)
+    for start in range(0, n, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n)
+        size = stop - start
+        table = dict.fromkeys(SCAN_COLUMNS, [""] * size)
+        table["family"] = [family] * size
+        if family == "A":
+            index = grid_indices(shape, start, stop)
+            kets = family_a_point_kets(ket_axes, *index)
+            for name, axis_labels, i in zip(("alpha", "beta", "gamma"), labels, index):
+                table[name] = axis_labels[i].tolist()
+            table["region"] = regions[region_points(region_ax, *index)].tolist()
+            pair = index[0] * len(be) + index[1]
+            for k, e in enumerate(spectrum_labels):
+                table[f"e{k + 1}_p12"] = e[pair].tolist()
+        else:
+            thetas = axes["theta"][start:stop]
+            kets = theta_kets(thetas)
+            table["theta"] = list(map(_fmt, thetas))
+        d = decide(kets)
+        for k, column in enumerate(d.concurrences.T.tolist()):
+            table[f"c{k + 1}"] = list(map(_fmt, column))
+        for (i, j), column in zip(PAIRS, d.min_pt.T.tolist()):
+            table[f"min_pt_{i}{j}"] = list(map(_fmt, column))
+        for name, values in (("entangled_count", d.entangled_count),
+                             ("min_copies_locc", d.min_copies_locc),
+                             ("min_copies_sep", d.min_copies_sep)):
+            table[name] = list(map(str, values.tolist()))
+        yield "\n".join(map(",".join, zip(*(table[c] for c in columns)))) + "\n"
 
 
 def cmd_scan(args) -> int:
@@ -165,15 +183,15 @@ def cmd_scan(args) -> int:
     if unknown:
         raise ValueError(f"unknown columns: {', '.join(unknown)}")
     axes = _family_axes(args, lambda text: _parse_range(text, args.degrees))
-    table = _scan_table(args.family, axes)
-    lines = ["# scan.v1 columns: " + ",".join(SCAN_COLUMNS), ",".join(columns)]
-    lines += map(",".join, zip(*(table[c] for c in columns)))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    blocks = _scan_blocks(args.family, axes, columns)
+    head = "# scan.v1 columns: " + ",".join(SCAN_COLUMNS) + "\n" + ",".join(columns) + "\n"
+    head += next(blocks)
+    # rows are written as they are computed; the file is opened only once
+    # the arguments and the first block have passed
+    with open(args.output, "w", encoding="utf-8") if args.output else \
+            contextlib.nullcontext(sys.stdout) as out:
+        out.write(head)
+        out.writelines(blocks)
     return 0
 
 

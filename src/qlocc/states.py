@@ -249,14 +249,34 @@ def theta_kets(thetas) -> np.ndarray:
     return canonical_kets(_theta_rows(*_sin_cos(thetas)))[0]
 
 
+def grid_indices(shape, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
+    """Per-axis indices of the points start..stop (default: all) of a grid
+    of the given shape, first axis slowest."""
+    stop = math.prod(shape) if stop is None else stop
+    return np.unravel_index(np.arange(start, stop), shape)
+
+
+def family_a_axes(alphas, betas, gammas) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (sines, cosines) of each axis of an alpha x beta x gamma grid,
+    taken once per value: what `family_a_point_kets` gathers."""
+    return tuple(_sin_cos(axis) for axis in (alphas, betas, gammas))
+
+
+def family_a_point_kets(axes, ia, ib, ig) -> np.ndarray:
+    """The kets of a_basis at the grid points (alphas[ia], betas[ib],
+    gammas[ig]) (angles already checked), as an (n, 4, 4) stack whose rows
+    equal that basis' amplitudes bit for bit; ``axes`` is
+    family_a_axes(alphas, betas, gammas)."""
+    (sa, ca), (sb, cb), (sg, cg) = axes
+    return canonical_kets(_family_a_rows(sa[ia], ca[ia], sb[ib], cb[ib], sg[ig], cg[ig]))[0]
+
+
 def family_a_kets(alphas, betas, gammas) -> np.ndarray:
     """The kets of a_basis at every point of the alpha x beta x gamma grid
     (angles already checked), alpha-major, as an (N, 4, 4) stack whose rows
     equal that basis' amplitudes bit for bit."""
-    (sa, ca), (sb, cb), (sg, cg) = (_sin_cos(axis) for axis in (alphas, betas, gammas))
-    a, b = (slice(None), None, None), (None, slice(None), None)
-    rows = _family_a_rows(sa[a], ca[a], sb[b], cb[b], sg, cg)
-    return canonical_kets(rows.reshape(-1, 4, 4))[0]
+    return family_a_point_kets(family_a_axes(alphas, betas, gammas),
+                               *grid_indices((len(alphas), len(betas), len(gammas))))
 
 
 def coefficient_matrices(kets) -> np.ndarray:

@@ -20,17 +20,21 @@ from qlocc.classify import (
     Region,
     SepWitness,
     _surface_gaps,
+    decide,
+    region_grid,
 )
+from qlocc.cli import REGION_LABELS, SCAN_COLUMNS, _family_axes, _parse_range, build_parser
 from qlocc.entanglement import (
     CONCURRENCE_ZERO_TOL,
     PSD_ATOL,
     SEPARABILITY_TOL,
     SeparabilityCertificate,
+    pt_spectrum_p12_closed,
 )
 from qlocc.linalg import normalize, orthogonal_complement_qubit
 from qlocc.protocols import (VANISH_TOL, Conclude, Eliminate, LocalMeasurement, Measure, Node,
                              ProtocolTree)
-from qlocc.states import complement_pair
+from qlocc.states import complement_pair, family_a_kets, theta_kets
 
 
 def haar_unitary(rng, n=4):
@@ -429,3 +433,60 @@ def reference_measurement_check(basis) -> None:
     g.flat[::3] -= 1.0
     if not np.abs(g).max() <= 1e-10:
         raise ValueError("measurement basis is not orthonormal")
+
+
+# The whole-grid scan path that qlocc.cli.cmd_scan's block stream replaced,
+# kept verbatim as the reference for its byte-identity tests: the CLI must
+# print and write the same bytes at every block boundary.
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _pick(strings, index) -> list[str]:
+    return np.array(strings, dtype=object)[index].tolist()
+
+
+def _scan_table(family: str, axes: dict[str, list[float]]) -> dict[str, list[str]]:
+    """Every scan column as one string per grid point (alpha-major); columns
+    that do not apply to the family stay empty.  The kernel decides the whole
+    grid; each distinct axis value and (alpha, beta) pair is formatted once."""
+    if family == "A":
+        al, be, ga = axes["alpha"], axes["beta"], axes["gamma"]
+        kets = family_a_kets(al, be, ga)
+    else:
+        kets = theta_kets(axes["theta"])
+    d = decide(kets)
+    n = len(kets)
+    table = dict.fromkeys(SCAN_COLUMNS, [""] * n)
+    table["family"] = [family] * n
+    if family == "A":
+        ia, ib, ig = np.unravel_index(np.arange(n), (len(al), len(be), len(ga)))
+        for name, axis, index in (("alpha", al, ia), ("beta", be, ib), ("gamma", ga, ig)):
+            table[name] = _pick([_fmt(v) for v in axis], index)
+        table["region"] = _pick(REGION_LABELS, region_grid(al, be, ga))
+        spectra = [pt_spectrum_p12_closed(a, b).tolist() for a in al for b in be]
+        for k in range(4):
+            table[f"e{k + 1}_p12"] = _pick([_fmt(e[k]) for e in spectra], ia * len(be) + ib)
+    else:
+        table["theta"] = [_fmt(t) for t in axes["theta"]]
+    for k, column in enumerate(d.concurrences.T.tolist()):
+        table[f"c{k + 1}"] = [_fmt(c) for c in column]
+    for (i, j), column in zip(PAIRS, d.min_pt.T.tolist()):
+        table[f"min_pt_{i}{j}"] = [_fmt(m) for m in column]
+    for name, values in (("entangled_count", d.entangled_count),
+                         ("min_copies_locc", d.min_copies_locc),
+                         ("min_copies_sep", d.min_copies_sep)):
+        table[name] = [str(v) for v in values.tolist()]
+    return table
+
+
+def reference_scan_text(argv) -> str:
+    """The CSV text the whole-grid path gives for a `scan` command line."""
+    args = build_parser().parse_args(argv)
+    columns = tuple(c.strip() for c in args.columns.split(",")) if args.columns else SCAN_COLUMNS
+    axes = _family_axes(args, lambda text: _parse_range(text, args.degrees))
+    table = _scan_table(args.family, axes)
+    lines = ["# scan.v1 columns: " + ",".join(SCAN_COLUMNS), ",".join(columns)]
+    lines += map(",".join, zip(*(table[c] for c in columns)))
+    return "\n".join(lines) + "\n"
