@@ -57,9 +57,9 @@ _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # the states other than l
 _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 LOCC_KINDS = ("one_copy", "two_copy_elimination", "two_copy_pair_split", "three_copy")
-SEP_KINDS = ("all_product", "pair_split", "elimination", "locc_protocol", "none")
+SEP_KINDS = ("all_product", "pair_split", "elimination", "none")
 _LOCC_COPIES = np.array([1, 2, 2, 3])
-_SEP_COPIES = np.array([1, 2, 2, 2, 3])
+_SEP_COPIES = np.array([1, 2, 2, 3])
 
 ASSUMPTION_LOCC_ELIMINATION = (
     "a conclusive 1-vs-3 elimination on the first copy is taken to be "
@@ -115,7 +115,11 @@ REGIONS = (Region("R_I"), Region("R_II"), Region("R_III"), Region("R_IV"),
 class SepWitness:
     """How the separable-operations copy count was achieved.
 
-    kind: 'all_product' | 'pair_split' | 'elimination' | 'locc_protocol' | 'none'.
+    kind: 'all_product' | 'pair_split' | 'elimination' | 'none'.  Every
+    two-copy LOCC verdict also has a SEP witness: a LOCC elimination means
+    exactly two entangled states, the other two are orthogonal product
+    states whose orthocomplement is spanned by product states, so that basis
+    has a separable pair split.
     """
 
     kind: str
@@ -248,9 +252,8 @@ def decide(kets) -> Decisions:
         duan_ok[need], residual[need] = _duan(cons[need], coefficient_matrices(kets[need]))
     passed = _first(duan_ok)
     last_tried = np.where(passed >= 0, passed, 3)
-    # codes index SEP_KINDS; a 2-copy LOCC scheme is itself a separable scheme
-    fallback = np.where(_LOCC_COPIES[locc_kind] <= 2, 3, 4)
-    sep_kind = np.where(count == 0, 0, np.where(split >= 0, 1, np.where(passed >= 0, 2, fallback)))
+    # codes index SEP_KINDS: all product, pair split, elimination, none
+    sep_kind = np.where(count == 0, 0, np.where(split >= 0, 1, np.where(passed >= 0, 2, 3)))
     return Decisions(
         concurrences=cons,
         min_pt=min_pt,

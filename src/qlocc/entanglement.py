@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    adjoint,
-    det2,
-    hermitian_eigenvalues,
-    is_hermitian,
-    normalize,
-    partial_transpose,
-)
+from .linalg import det2, hermitian_eigenvalues, normalize, partial_transpose
 from .states import BipartiteKet, OrthonormalBasis, coefficient_matrices
 
 CONCURRENCE_ZERO_TOL = 1e-9
@@ -108,7 +101,7 @@ def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False
 
 def min_pt_eigenvalues(ops) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of each operator in a stack
-    (..., 4, 4), from one eigvalsh over the symmetrized partial transposes.
+    (..., 4, 4), from one `hermitian_eigenvalues` over the partial transposes.
 
     Raises ValueError unless every operator is Hermitian (so is its partial
     transpose: m - m^dagger and its partial transpose hold the same entries).
@@ -116,13 +109,7 @@ def min_pt_eigenvalues(ops) -> np.ndarray:
     projectors of an orthonormal basis are PSD by construction, and
     `separability_certificate` checks operators given from outside.
     """
-    ops = np.asarray(ops, dtype=complex)
-    if not is_hermitian(ops):
-        raise ValueError("operator is not Hermitian")
-    pt = partial_transpose(ops)
-    pt += adjoint(pt)  # 0.5 * (pt + pt^dagger), as hermitian_eigenvalues symmetrizes
-    pt *= 0.5
-    return np.linalg.eigvalsh(pt)[..., 0]
+    return hermitian_eigenvalues(partial_transpose(ops))[..., 0]
 
 
 def separability_certificate(m) -> SeparabilityCertificate:

@@ -90,12 +90,6 @@ def adjoint(m) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
-    """True iff the matrix (every matrix of a stack) is Hermitian within atol."""
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - adjoint(m))) < atol)
-
-
 def partial_transpose(m) -> np.ndarray:
     """Transpose on the second tensor factor of a 4x4 operator (or of each
     operator in a stack).
@@ -113,15 +107,24 @@ def partial_transpose(m) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix (or of each matrix in
+    a stack, along the last axis).
 
-    Raises ValueError if the input is not Hermitian within HERMITIAN_ATOL.
+    Raises ValueError unless every matrix is Hermitian within HERMITIAN_ATOL.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
+    # one buffer serves the check and the solve, so a kernel block's
+    # temporaries peak no higher than the check alone needs
+    s = adjoint(m)
+    s -= m  # -(m - m^dagger), bit for bit
+    if not np.max(np.abs(s)) < HERMITIAN_ATOL:  # NaN included
         raise ValueError("matrix is not Hermitian")
-    # symmetrize away the (sub-tolerance) anti-Hermitian part before solving
-    return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
+    # symmetrize away the (sub-tolerance) anti-Hermitian part before solving:
+    # same bits as 0.5 * (m + adjoint(m))
+    np.conjugate(np.swapaxes(m, -1, -2), out=s)
+    s += m
+    s *= 0.5
+    return np.linalg.eigvalsh(s)
 
 
 def canonical_phase(v) -> tuple[np.ndarray, np.ndarray]:

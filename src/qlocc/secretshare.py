@@ -65,7 +65,7 @@ class MixedShare:
             m = np.asarray(getattr(self, name), dtype=complex)
             if abs(np.trace(m).real - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not trace 1")
-            if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
+            if hermitian_eigenvalues(m)[0] < -1e-10:
                 raise ValueError(f"{name} is not positive semidefinite")
             m.setflags(write=False)
             object.__setattr__(self, name, m)

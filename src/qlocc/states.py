@@ -153,10 +153,10 @@ def gram(kets) -> np.ndarray:
 
 def check_orthonormal(kets) -> None:
     """Raise NotOrthonormalError for the first basis in a stack (..., 4, 4)
-    of ket rows whose Gram matrix is off the identity by GRAM_ATOL or more,
-    naming its worst entry."""
+    of ket rows whose Gram matrix is off the identity by GRAM_ATOL or more
+    (or is not finite), naming its worst entry."""
     dev = np.abs(gram(kets) - np.eye(4)).reshape(-1, 16)
-    bad = np.flatnonzero(dev.max(axis=1) >= GRAM_ATOL)
+    bad = np.flatnonzero(~(dev.max(axis=1) < GRAM_ATOL))  # NaN included
     if bad.size:
         worst = int(np.argmax(dev[bad[0]]))
         raise NotOrthonormalError(*divmod(worst, 4), float(dev[bad[0], worst]))

@@ -23,9 +23,11 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
-from qlocc.classify import BLOCK_SIZE, PAIRS, Decisions, SepWitness, decide
+from qlocc.classify import (BLOCK_SIZE, LOCC_KINDS, NEAR_FACTOR, PAIRS, SEP_KINDS, Decisions,
+                            SepWitness, decide)
 from qlocc.cli import main
-from qlocc.entanglement import PSD_ATOL, pair_projector, pair_projectors, separability_certificate
+from qlocc.entanglement import (PSD_ATOL, SEPARABILITY_TOL, pair_projector, pair_projectors,
+                                separability_certificate)
 from qlocc.states import canonical_kets, family_a_kets
 from conftest import (haar_unitary, random_basis, random_low_entanglement_basis,
                       reference_analyze)
@@ -154,6 +156,34 @@ def test_decide_verdicts_are_invariant_under_local_unitaries(rng):
     for name in ("locc_kind", "sep_kind", "entangled_count"):
         changed = np.flatnonzero(getattr(before, name) != getattr(after, name))
         assert changed.tolist() == [], name
+
+
+def near_threshold_kets(rng, n: int, eps, rotations: int) -> np.ndarray:
+    """Ket rows of n low-entanglement bases, each rotated `rotations` times
+    by exp(i eps H) for every eps, with H a fresh random Hermitian matrix:
+    their product states move to concurrences near CONCURRENCE_ZERO_TOL."""
+    base = np.array([random_low_entanglement_basis(rng).matrix() for _ in range(n)])
+    kets = np.tile(base, (len(eps) * rotations, 1, 1))
+    h = rng.standard_normal(kets.shape) + 1j * rng.standard_normal(kets.shape)
+    w, v = np.linalg.eigh(h + np.swapaxes(h, -1, -2).conj())
+    phases = np.exp(1j * np.repeat(eps, n * rotations)[:, None] * w)
+    u = (v * phases[:, None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return canonical_kets(kets @ np.swapaxes(u, -1, -2))[0]
+
+
+def test_sep_never_needs_more_copies_than_locc_near_the_product_threshold(rng):
+    # SEP_KINDS has no LOCC fallback: every two-copy LOCC verdict must find
+    # its own SEP witness, also where entangled counts flip at the threshold
+    d = decide(near_threshold_kets(rng, 750, [1e-9, 3e-9], rotations=2))
+    assert np.flatnonzero(d.min_copies_sep > d.min_copies_locc).tolist() == []
+    assert set(d.entangled_count.tolist()) >= {2, 3, 4}
+    assert {LOCC_KINDS[k] for k in d.locc_kind} >= {
+        "two_copy_elimination", "two_copy_pair_split", "three_copy"}
+    assert {SEP_KINDS[k] for k in d.sep_kind} >= {"pair_split", "elimination", "none"}
+    # pair projectors fall within 10x of the separability threshold, on both sides
+    tol = SEPARABILITY_TOL
+    assert ((-NEAR_FACTOR * tol <= d.min_pt) & (d.min_pt < -tol)).any()
+    assert ((-tol <= d.min_pt) & (d.min_pt <= -tol / NEAR_FACTOR)).any()
 
 
 def test_kernel_min_pt_equals_certificates_and_skipped_psd_check_cannot_fire(rng):

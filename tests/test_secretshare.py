@@ -14,6 +14,7 @@ from qlocc import (
     theta_basis,
 )
 from qlocc.secretshare import (
+    MixedShare,
     ShareSet,
     mixed_share_eigenvalues,
     share_set_from_json,
@@ -100,6 +101,14 @@ def test_strong_pair_rejects_bad_weights():
         strong_pair_shares(b, 0, 2, 0.5, 1.0)
     with pytest.raises(ValueError):
         strong_pair_shares(b, 2, 2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("entry, value", [((1, 0), 0.4), ((0, 1), 5.0)])
+def test_mixed_share_rejects_non_hermitian_operators(entry, value):
+    sigma = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    sigma[entry] = value
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MixedShare(sigma=sigma, sigma_perp=np.diag([0.0, 0.0, 0.5, 0.5]), lam=0.5, mu=0.5)
 
 
 def test_mixed_share_spectrum():

@@ -17,6 +17,7 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
+from qlocc.states import check_orthonormal
 from conftest import random_ket
 
 PI_2 = math.pi / 2
@@ -137,6 +138,14 @@ def test_validate_basis_rejects_repeated_state():
         validate_basis([v00, v00, v01, v10])
     assert err.value.pair == (0, 1)
     assert err.value.deviation > 0.9
+
+
+def test_check_orthonormal_rejects_nan_amplitudes():
+    kets = np.array([np.eye(4), np.eye(4)], dtype=complex)
+    kets[1, 2, 0] = np.nan
+    with pytest.raises(NotOrthonormalError) as err:
+        check_orthonormal(kets)
+    assert err.value.pair == (0, 2)
 
 
 def test_validate_basis_accepts_family_output():
