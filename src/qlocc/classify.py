@@ -22,7 +22,7 @@ State indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .entanglement import (
     CONCURRENCE_ZERO_TOL,
     SEPARABILITY_TOL,
     SeparabilityCertificate,
+    certificate_to_dict,
     concurrence,  # not called here; bench/tracing.py wraps it by name
-    concurrences,
-    min_pt_eigenvalues,
+    pair_min_pt_eigenvalues,
     pair_projector,  # not called here; bench/tracing.py wraps it by name
-    pair_projectors,
     separability_certificate,  # not called here; bench/tracing.py wraps it by name
 )
 from .linalg import det2
@@ -54,7 +53,7 @@ SPLITS = ((0, 1), (0, 2), (0, 3))  # each 2-vs-2 split, named by the pair holdin
 _SPLIT_SIDES = ([PAIRS.index(s) for s in SPLITS],  # PAIRS indices of each split's pairs
                 [PAIRS.index(complement_pair(*s)) for s in SPLITS])
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # the states other than l
-_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)  # complex: no cast per call
 
 LOCC_KINDS = ("one_copy", "two_copy_elimination", "two_copy_pair_split", "three_copy")
 SEP_KINDS = ("all_product", "pair_split", "elimination", "none")
@@ -177,13 +176,43 @@ class Decisions:
 
 def _first(ok: np.ndarray) -> np.ndarray:
     """Index of the first True along the last axis, or -1."""
-    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1), -1)
 
 
-def _duan(cons: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _case_split_tables():
+    """The first-copy case split of every basis, tabulated over its entangled
+    mask (bit k: state k entangled) and its separable mask (bit q: the
+    projector of PAIRS[q] separable).  Returns the entangled count and the
+    first eliminable state per entangled mask, the first separable split per
+    separable mask, and the LOCC_KINDS and SEP_KINDS codes per pair of masks;
+    SEP code 3 ('none') stands until the kernel finds an elimination that
+    passes the separable-operations test."""
+    count, eliminated, split = [], [], []
+    for mask in range(16):
+        entangled = [(mask >> k) & 1 for k in range(4)]
+        count.append(sum(entangled))
+        eliminated.append(next((l for l in range(4) if count[-1] - entangled[l] <= 1), -1))
+    for mask in range(64):
+        separable = [(mask >> q) & 1 for q in range(len(PAIRS))]
+        split.append(next((n for n, (a, b) in enumerate(zip(*_SPLIT_SIDES))
+                           if separable[a] and separable[b]), -1))
+    locc = [[0 if c == 0 else 1 if e >= 0 else 2 if s >= 0 else 3 for s in split]
+            for c, e in zip(count, eliminated)]
+    sep = [[0 if c == 0 else 1 if s >= 0 else 3 for s in split] for c in count]
+    return tuple(np.array(t) for t in (count, eliminated, split, locc, sep))
+
+
+_COUNT, _ELIMINATED, _SPLIT, _LOCC_KIND, _SEP_KIND = _case_split_tables()
+_ENTANGLED_BITS = 1 << np.arange(4)
+_SEPARABLE_BITS = 1 << np.arange(len(PAIRS))
+_STATES = np.arange(4)
+
+
+def _duan(cons: np.ndarray, mats: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separable-operations test for the three states other than each l
-    (whose orthocomplement is state l), from the concurrences (T, 4) and
-    coefficient matrices (T, 4, 2, 2) of all four.
+    (whose orthocomplement is state l), from the concurrences (T, 4),
+    coefficient matrices (T, 4, 2, 2) and their determinants (T, 4) of all
+    four.
 
     Every entangled member A_k of the three must have anti-parallel
     eigenvalues against the complement's coefficient matrix A_l: the ratio of
@@ -201,19 +230,18 @@ def _duan(cons: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rest = cons[:, _REST]  # (T, 4, 3)
     residual = rest[..., 0] + rest[..., 1] + rest[..., 2] - cons
     product = cons < CONCURRENCE_ZERO_TOL
-    rest_product = rest < CONCURRENCE_ZERO_TOL
+    rest_product = product[:, _REST]
     adj_t = mats[..., ::-1, ::-1] * _COFACTOR_SIGNS  # adj(A_l) transposed
     t = (mats[:, _REST] * adj_t[:, :, None]).sum(axis=(-2, -1))  # tr(A_k adj(A_l)), (T, 4, 3)
-    dets = det2(mats)
     d = dets[:, _REST] * dets[..., None]
     s = np.sqrt(t * t - 4.0 * d)
     big = 0.5 * np.where((t.conj() * s).real >= 0.0, t + s, t - s)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes of product states
         ratio = d / (big * big)
     anti = (np.abs(ratio.imag) < ANTIPARALLEL_IM_TOL) & (ratio.real < 0.0)
-    anti_ok = (anti | rest_product).all(axis=-1)
+    anti |= rest_product
     ok = np.where(product, rest_product.all(axis=-1),
-                  anti_ok & (np.abs(residual) < DUAN_SUM_TOL))
+                  anti.all(axis=-1) & (np.abs(residual) < DUAN_SUM_TOL))
     return ok, residual
 
 
@@ -230,41 +258,47 @@ def decide(kets) -> Decisions:
         return Decisions(*(np.concatenate([getattr(b, f.name) for b in blocks])
                            for f in fields(Decisions)))
     check_orthonormal(kets)
-    cons = concurrences(kets)
+    return _decide_checked(kets)
+
+
+def _decide_basis(b: OrthonormalBasis) -> Decisions:
+    """`decide` of one basis, whose kets passed the Gram check when it was
+    built."""
+    return _decide_checked(b.matrix()[None])
+
+
+def _decide_checked(kets: np.ndarray) -> Decisions:
+    """`decide` of at most BLOCK_SIZE bases already known to be orthonormal."""
+    mats = coefficient_matrices(kets)
+    dets = det2(mats)
+    cons = np.hypot(dets.real, dets.imag)  # concurrences(kets), bit for bit
     # no PSD check is needed: each projector is K^dagger K for two kets that
     # just passed the Gram check, so its nonzero spectrum is that of a 2x2
     # Gram block within GRAM_ATOL of the identity
-    min_pt = min_pt_eigenvalues(pair_projectors(kets, PAIRS))
+    min_pt = pair_min_pt_eigenvalues(kets, PAIRS)
 
-    entangled = cons >= CONCURRENCE_ZERO_TOL
-    count = entangled.sum(axis=1)
-    eliminated = _first(count[:, None] - entangled <= 1)
-    separable = min_pt >= -SEPARABILITY_TOL
-    split = _first(separable[:, _SPLIT_SIDES[0]] & separable[:, _SPLIT_SIDES[1]])
-    # codes index LOCC_KINDS: one copy, elimination, pair split, three copies
-    locc_kind = np.where(count == 0, 0, np.where(eliminated >= 0, 1, np.where(split >= 0, 2, 3)))
-
+    entangled = (cons >= CONCURRENCE_ZERO_TOL) @ _ENTANGLED_BITS
+    separable = (min_pt >= -SEPARABILITY_TOL) @ _SEPARABLE_BITS
+    sep_kind = _SEP_KIND[entangled, separable]
     # the SEP elimination route runs only where no cheaper witness exists
-    need = (count > 0) & (split < 0)
+    need = sep_kind == 3
     duan_ok = np.zeros(cons.shape, dtype=bool)
     residual = np.zeros(cons.shape)
     if need.any():
-        duan_ok[need], residual[need] = _duan(cons[need], coefficient_matrices(kets[need]))
+        duan_ok[need], residual[need] = _duan(cons[need], mats[need], dets[need])
     passed = _first(duan_ok)
-    last_tried = np.where(passed >= 0, passed, 3)
-    # codes index SEP_KINDS: all product, pair split, elimination, none
-    sep_kind = np.where(count == 0, 0, np.where(split >= 0, 1, np.where(passed >= 0, 2, 3)))
     return Decisions(
         concurrences=cons,
         min_pt=min_pt,
-        entangled_count=count,
-        locc_kind=locc_kind,
-        eliminated=eliminated,
-        split=split,
-        sep_kind=sep_kind,
+        entangled_count=_COUNT[entangled],
+        locc_kind=_LOCC_KIND[entangled, separable],
+        eliminated=_ELIMINATED[entangled],
+        split=_SPLIT[separable],
+        sep_kind=sep_kind - (passed >= 0),  # 'none' becomes 'elimination'
         sep_eliminated=passed,
         duan_residual=residual,
-        duan_tried=need[:, None] & (np.arange(4) <= last_tried[:, None]),
+        # tried up to the first that passed, else all four (-1 % 4 == 3)
+        duan_tried=need[:, None] & (_STATES <= passed[:, None] % 4),
     )
 
 
@@ -275,13 +309,13 @@ def locc_category(b: OrthonormalBasis) -> LoccCategory:
 
 def min_copies_adaptive_locc(b: OrthonormalBasis) -> int:
     """Minimum copies for perfect discrimination under adaptive LOCC (1, 2 or 3)."""
-    return analyze(b).min_copies_locc
+    return int(_decide_basis(b).min_copies_locc[0])
 
 
 def min_copies_adaptive_sep(b: OrthonormalBasis) -> int:
     """Minimum copies for perfect discrimination under adaptive separable
     operations (1, 2 or 3); never exceeds the LOCC count."""
-    return analyze(b).min_copies_sep
+    return int(_decide_basis(b).min_copies_sep[0])
 
 
 def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
@@ -292,8 +326,9 @@ def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
     kets = (*states, complement)
     if len(kets) != 4:
         raise ValueError("expected exactly 3 states")
-    amps = np.array([k.amplitudes for k in kets])
-    ok, _ = _duan(concurrences(amps)[None], coefficient_matrices(amps)[None])
+    mats = coefficient_matrices(np.array([k.amplitudes for k in kets]))[None]
+    dets = det2(mats)
+    ok, _ = _duan(np.hypot(dets.real, dets.imag), mats, dets)
     return bool(ok[0, 3])
 
 
@@ -378,7 +413,7 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
     assumption and boundary warning reads that kernel's row.
     """
     reg = region(p) if p is not None else None
-    d = decide(b.matrix()[None])
+    d = _decide_basis(b)
     cons = d.concurrences[0].tolist()
     min_pt = d.min_pt[0].tolist()
 
@@ -467,7 +502,7 @@ def report_to_dict(r: ClassificationReport) -> dict:
         "region": None if r.region is None else
             {"name": r.region.name, "which": r.region.which},
         "certificates": [
-            {"pair": list(pair), **asdict(cert)}
+            {"pair": list(pair), **certificate_to_dict(cert)}
             for pair, cert in r.certificates
         ],
         "params": None if r.params is None else {

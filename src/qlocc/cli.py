@@ -57,6 +57,10 @@ SCAN_COLUMNS = (
     "min_pt_01", "min_pt_02", "min_pt_03", "min_pt_12", "min_pt_13", "min_pt_23",
     "min_copies_locc", "min_copies_sep",
 )
+# the scan columns that read the classification kernel (`decide`)
+KERNEL_COLUMNS = frozenset(
+    ["c1", "c2", "c3", "c4", "entangled_count", "min_copies_locc", "min_copies_sep"]
+    + [f"min_pt_{i}{j}" for i, j in PAIRS])
 # scan's region column: REGIONS by index, then index -1 for alpha or beta at 0 or pi/2
 REGION_LABELS = tuple(r.name if r.which is None else f"{r.name}:{r.which}"
                       for r in REGIONS) + ("degenerate",)
@@ -135,45 +139,56 @@ def _scan_blocks(family: str, axes: dict[str, list[float]],
     points: each block's kets are built, decided, labelled and formatted
     before the next is touched, so memory stays flat in grid size.  Only the
     per-axis labels and the per-(alpha, beta) closed-form spectra live for
-    the whole scan.  Columns that do not apply to the family stay empty."""
+    the whole scan.  Only the selected columns are formatted, and the kernel
+    runs only when one of them reads it; columns that do not apply to the
+    family stay empty."""
+    wanted = set(columns)
+    kernel = not wanted.isdisjoint(KERNEL_COLUMNS)
     if family == "A":
         al, be, ga = axes["alpha"], axes["beta"], axes["gamma"]
         shape = (len(al), len(be), len(ga))
         ket_axes, region_ax = family_a_axes(al, be, ga), region_axes(al, be, ga)
-        labels = [_labels(axis) for axis in (al, be, ga)]
+        labels = {name: _labels(axis) for name, axis in zip(("alpha", "beta", "gamma"),
+                                                            (al, be, ga)) if name in wanted}
         regions = np.array(REGION_LABELS, dtype=object)
-        spectra = np.array([pt_spectrum_p12_closed(a, b) for a in al for b in be])
-        spectrum_labels = [_labels(e) for e in spectra.T.tolist()]  # per (alpha, beta)
+        spectra = {f"e{k + 1}_p12": k for k in range(4) if f"e{k + 1}_p12" in wanted}
+        if spectra:  # labelled once per (alpha, beta)
+            values = np.array([pt_spectrum_p12_closed(a, b) for a in al for b in be])
+            spectra = {name: _labels(values[:, k].tolist()) for name, k in spectra.items()}
     else:
         shape = (len(axes["theta"]),)
     n = math.prod(shape)
     for start in range(0, n, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, n)
         size = stop - start
-        table = dict.fromkeys(SCAN_COLUMNS, [""] * size)
+        table = dict.fromkeys(columns, [""] * size)
         table["family"] = [family] * size
         if family == "A":
             index = grid_indices(shape, start, stop)
-            kets = family_a_point_kets(ket_axes, *index)
-            for name, axis_labels, i in zip(("alpha", "beta", "gamma"), labels, index):
-                table[name] = axis_labels[i].tolist()
-            table["region"] = regions[region_points(region_ax, *index)].tolist()
+            for name, i in zip(("alpha", "beta", "gamma"), index):
+                if name in labels:
+                    table[name] = labels[name][i].tolist()
+            if "region" in wanted:
+                table["region"] = regions[region_points(region_ax, *index)].tolist()
             pair = index[0] * len(be) + index[1]
-            for k, e in enumerate(spectrum_labels):
-                table[f"e{k + 1}_p12"] = e[pair].tolist()
+            for name, spectrum_labels in spectra.items():
+                table[name] = spectrum_labels[pair].tolist()
+            if kernel:
+                d = decide(family_a_point_kets(ket_axes, *index))
         else:
             thetas = axes["theta"][start:stop]
-            kets = theta_kets(thetas)
-            table["theta"] = list(map(_fmt, thetas))
-        d = decide(kets)
-        for k, column in enumerate(d.concurrences.T.tolist()):
-            table[f"c{k + 1}"] = list(map(_fmt, column))
-        for (i, j), column in zip(PAIRS, d.min_pt.T.tolist()):
-            table[f"min_pt_{i}{j}"] = list(map(_fmt, column))
-        for name, values in (("entangled_count", d.entangled_count),
-                             ("min_copies_locc", d.min_copies_locc),
-                             ("min_copies_sep", d.min_copies_sep)):
-            table[name] = list(map(str, values.tolist()))
+            if "theta" in wanted:
+                table["theta"] = list(map(_fmt, thetas))
+            if kernel:
+                d = decide(theta_kets(thetas))
+        if kernel:
+            floats = {**{f"c{k + 1}": d.concurrences[:, k] for k in range(4)},
+                      **{f"min_pt_{i}{j}": d.min_pt[:, q] for q, (i, j) in enumerate(PAIRS)}}
+            for name in wanted.intersection(floats):
+                table[name] = list(map(_fmt, floats[name].tolist()))
+            for name in wanted.intersection(("entangled_count", "min_copies_locc",
+                                             "min_copies_sep")):
+                table[name] = list(map(str, getattr(d, name).tolist()))
         yield "\n".join(map(",".join, zip(*(table[c] for c in columns)))) + "\n"
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 _REQUIRED = object()
 _FLOAT_MAX = float(np.finfo(float).max)
+_NUMBER = (int, float)
 
 
 def dump(doc: dict) -> str:
@@ -19,7 +20,8 @@ def dump(doc: dict) -> str:
 
 def complex_pairs(a) -> list:
     """[re, im] float pairs, nested like the complex array ``a``."""
-    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def load(text: str, schema: str, kind: str | None = None) -> dict:
@@ -55,36 +57,74 @@ def items(doc: dict, key: str, kind, path: str = "", length: int | None = None) 
     an instance of ``kind``."""
     where = _join(path, key)
     value = _list(field(doc, key, list, path), length, where)
-    return [_check(x, kind, f"{where}[{n}]") for n, x in enumerate(value)]
+    for n, x in enumerate(value):
+        if not _is(x, kind):
+            _check(x, kind, f"{where}[{n}]")
+    return value
 
 
 def complex_array(doc: dict, key: str, shape: tuple[int, ...], path: str = "") -> np.ndarray:
     """``doc[key]`` decoded from nested [re, im] pairs into a complex array of
     exactly ``shape``."""
+    value = field(doc, key, list, path)
+    try:
+        _check_pairs(value, shape)
+    except _Malformed as bad:
+        where = _join(path, key) + "".join(f"[{n}]" for n in reversed(bad.path))
+        raise ValueError(f"{where}: {bad.message}") from None
+    # every leaf is a finite int or float now; numpy converts each as float() does
+    return np.array(value, dtype=float).view(complex).reshape(shape)
 
-    def walk(value, dims, where):
-        if dims:
-            return [walk(x, dims[1:], f"{where}[{n}]")
-                    for n, x in enumerate(_list(value, dims[0], where))]
-        if not isinstance(value, list) or len(value) != 2:
-            raise ValueError(f"{where}: expected [re, im]")
+
+class _Malformed(Exception):
+    """A malformed entry found by `_check_pairs`: ``path`` holds its list
+    indices innermost first, so a path is formatted only for a failure."""
+
+    def __init__(self, message: str, *path: int):
+        self.message, self.path = message, list(path)
+
+
+def _check_pairs(value, dims: tuple[int, ...]) -> None:
+    """Raise _Malformed at the first entry, depth first, that keeps ``value``
+    from being nested lists of ``dims`` holding [re, im] pairs of finite
+    numbers."""
+    if not isinstance(value, list):
+        raise _Malformed("expected list")
+    if len(value) != dims[0]:
+        raise _Malformed(f"expected {dims[0]} entries, got {len(value)}")
+    if len(dims) > 1:
+        inner = dims[1:]
         for n, x in enumerate(value):
+            try:
+                _check_pairs(x, inner)
+            except _Malformed as bad:
+                bad.path.append(n)
+                raise
+        return
+    for n, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _Malformed("expected [re, im]", n)
+        for m, x in enumerate(pair):
+            if not isinstance(x, _NUMBER) or isinstance(x, bool):
+                raise _Malformed("expected int or float", m, n)
             # false for NaN and infinities, which json accepts, and for huge ints
-            if not abs(_check(x, (int, float), f"{where}[{n}]")) <= _FLOAT_MAX:
-                raise ValueError(f"{where}[{n}]: expected a finite number")
-        re, im = value
-        return complex(re, im)
-
-    return np.array(walk(field(doc, key, list, path), shape, _join(path, key)), dtype=complex)
+            if not abs(x) <= _FLOAT_MAX:
+                raise _Malformed("expected a finite number", m, n)
 
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _check(value, kind, where: str):
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), except that a bool is never an int."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+    return isinstance(value, kinds) and (not isinstance(value, bool) or bool in kinds)
+
+
+def _check(value, kind, where: str):
+    if not _is(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
         raise ValueError(f"{where}: expected {' or '.join(k.__name__ for k in kinds)}")
     return value
 

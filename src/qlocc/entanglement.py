@@ -6,12 +6,13 @@ partial transpose, which is necessary and sufficient in 2x2 dimensions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import det2, hermitian_eigenvalues, normalize, partial_transpose
+from .linalg import det2_parts, hermitian_eigenvalues, normalize, partial_transpose
 from .states import BipartiteKet, OrthonormalBasis, coefficient_matrices
 
 CONCURRENCE_ZERO_TOL = 1e-9
@@ -32,6 +33,13 @@ class SeparabilityCertificate:
     tolerance: float = SEPARABILITY_TOL
 
 
+def certificate_to_dict(c: SeparabilityCertificate) -> dict:
+    """The fields of a certificate by name, in order, as report.v1 and
+    shares.v1 write them."""
+    return {"min_pt_eigenvalue": c.min_pt_eigenvalue, "is_separable": c.is_separable,
+            "tolerance": c.tolerance}
+
+
 @dataclass(frozen=True)
 class ProductDecomposition:
     """Conditional decomposition |psi> = n0 |0>|eta0> + n1 |1>|eta1>
@@ -48,8 +56,7 @@ class ProductDecomposition:
 def concurrences(kets) -> np.ndarray:
     """|det M| of the coefficient matrix of each amplitude vector in a stack
     (..., 4)."""
-    d = det2(coefficient_matrices(kets))
-    return np.hypot(np.real(d), np.imag(d))  # abs() of a complex scalar, bit for bit
+    return np.hypot(*det2_parts(coefficient_matrices(kets)))  # abs() of det2, bit for bit
 
 
 def concurrence(k: BipartiteKet) -> float:
@@ -83,12 +90,43 @@ def product_decomposition(k: BipartiteKet) -> ProductDecomposition:
 def pair_projectors(kets, pairs) -> np.ndarray:
     """Rank-2 projectors onto span{kets[i], kets[j]} for each (i, j) in
     ``pairs``, from ket rows of shape (..., 4, 4); shape (..., len(pairs), 4, 4)."""
+    return _pair_sums(kets, _pair_entries(tuple(map(tuple, pairs)), False))
+
+
+def pair_min_pt_eigenvalues(kets, pairs) -> np.ndarray:
+    """min_pt_eigenvalues(pair_projectors(kets, pairs)), bit for bit, shape
+    (..., len(pairs)): each entry of a partial transpose is the same sum of
+    outer-product entries, gathered straight into its transposed place, so
+    no projector stack is built or transposed."""
+    pt = _pair_sums(kets, _pair_entries(tuple(map(tuple, pairs)), True))
+    return hermitian_eigenvalues(pt)[..., 0]
+
+
+def _pair_sums(kets, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """|k_i><k_i| + |k_j><k_j| laid out by ``entries``, indices into the
+    flattened outer products of a stack of ket rows (..., 4, 4)."""
     kets = np.asarray(kets, dtype=complex)
     outer = kets[..., :, None] * kets.conj()[..., None, :]  # |k><k| per ket
-    i, j = np.array(pairs).T
-    p = outer[..., i, :, :]
-    p += outer[..., j, :, :]
+    flat = outer.reshape(*kets.shape[:-2], 64)
+    p = np.take(flat, entries[0], axis=-1)
+    p += np.take(flat, entries[1], axis=-1)
     return p
+
+
+@functools.cache
+def _pair_entries(pairs: tuple[tuple[int, int], ...],
+                  transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For each side of each pair, the flat outer-product index (ket, row,
+    column) that entry (row, column) of the pair's projector, or of its
+    partial transpose, reads; each (len(pairs), 4, 4)."""
+    entry = np.arange(16).reshape(4, 4)
+    if transposed:
+        entry = partial_transpose(entry).real.astype(int)  # where each entry moves
+    i, j = np.array(pairs).T
+    sides = (16 * i[:, None, None] + entry, 16 * j[:, None, None] + entry)
+    for side in sides:
+        side.setflags(write=False)  # shared by every caller
+    return sides
 
 
 def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False) -> np.ndarray:

@@ -85,11 +85,6 @@ def cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(np.asarray(m), -1, -2).conj()
-
-
 def partial_transpose(m) -> np.ndarray:
     """Transpose on the second tensor factor of a 4x4 operator (or of each
     operator in a stack).
@@ -115,13 +110,13 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     # one buffer serves the check and the solve, so a kernel block's
     # temporaries peak no higher than the check alone needs
-    s = adjoint(m)
+    s = m.swapaxes(-1, -2).conj()
     s -= m  # -(m - m^dagger), bit for bit
-    if not np.max(np.abs(s)) < HERMITIAN_ATOL:  # NaN included
+    if not np.abs(s).max() < HERMITIAN_ATOL:  # NaN included
         raise ValueError("matrix is not Hermitian")
     # symmetrize away the (sub-tolerance) anti-Hermitian part before solving:
-    # same bits as 0.5 * (m + adjoint(m))
-    np.conjugate(np.swapaxes(m, -1, -2), out=s)
+    # same bits as 0.5 * (m + m^dagger)
+    np.conjugate(m.swapaxes(-1, -2), out=s)
     s += m
     s *= 0.5
     return np.linalg.eigvalsh(s)
@@ -149,11 +144,17 @@ def det2(m):
     Written with `cmul`, so a stack gives each matrix the bits of a call on
     that matrix alone.
     """
+    re, im = det2_parts(m)
+    return (re + 1j * im)[()]
+
+
+def det2_parts(m) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of `det2`, before they are combined:
+    a d - b c with both products taken by `cmul` at once."""
     m = np.asarray(m, dtype=complex)
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    adr, adi = cmul(a.real, a.imag, d.real, d.imag)
-    bcr, bci = cmul(b.real, b.imag, c.real, c.imag)
-    return ((adr - bcr) + 1j * (adi - bci))[()]
+    left, right = m[..., 0, :], m[..., 1, ::-1]  # (a, b) against (d, c)
+    re, im = cmul(left.real, left.imag, right.real, right.imag)
+    return re[..., 0] - re[..., 1], im[..., 0] - im[..., 1]
 
 
 def orthogonal_complement_qubit(u) -> np.ndarray:

@@ -16,13 +16,14 @@ Two constructions:
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec
 from .classify import min_copies_adaptive_locc
-from .entanglement import SeparabilityCertificate, pair_projector, separability_certificate
+from .entanglement import (SeparabilityCertificate, certificate_to_dict, pair_projector,
+                           separability_certificate)
 from .linalg import hermitian_eigenvalues, outer
 from .protocols import elimination_tournament, outcome_distribution
 from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
@@ -185,8 +186,8 @@ def strong_pair_to_json(s: StrongPairShares) -> str:
         "sigma": codec.complex_pairs(s.share.sigma),
         "sigma_perp": codec.complex_pairs(s.share.sigma_perp),
         "certificates": {
-            "pair_projector": asdict(s.certificate_pair),
-            "complement_projector": asdict(s.certificate_complement),
+            "pair_projector": certificate_to_dict(s.certificate_pair),
+            "complement_projector": certificate_to_dict(s.certificate_complement),
             "cross_trace": s.cross_trace,
         },
         "security": "PASS" if s.security_pass else "FAIL",

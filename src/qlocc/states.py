@@ -28,6 +28,7 @@ from . import codec
 from .linalg import as_complex_vector, canonical_phase, vector_norms
 
 GRAM_ATOL = 1e-10
+_IDENTITY = np.eye(4)
 
 
 class NotOrthonormalError(ValueError):
@@ -112,19 +113,24 @@ class OrthonormalBasis:
 
     states: tuple[BipartiteKet, BipartiteKet, BipartiteKet, BipartiteKet]
     label: str = ""
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != 4:
             raise ValueError("a basis needs exactly 4 states")
         object.__setattr__(self, "states", tuple(self.states))
-        check_orthonormal(self.matrix())
+        m = np.array([k.amplitudes for k in self.states])
+        check_orthonormal(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "_matrix", m)
 
     def gram(self) -> np.ndarray:
         return gram(self.matrix())
 
     def matrix(self) -> np.ndarray:
-        """4x4 array whose rows are the state amplitudes."""
-        return np.array([k.amplitudes for k in self.states])
+        """4x4 array whose rows are the state amplitudes (read-only, built
+        once with the basis)."""
+        return self._matrix
 
     def __iter__(self):
         return iter(self.states)
@@ -148,18 +154,20 @@ def canonical_kets(vectors) -> tuple[np.ndarray, np.ndarray]:
 
 def gram(kets) -> np.ndarray:
     """Overlaps <k_i|k_j> of the ket rows of a matrix (or of each in a stack)."""
-    return kets.conj() @ np.swapaxes(kets, -1, -2)
+    return kets.conj() @ kets.swapaxes(-1, -2)
 
 
 def check_orthonormal(kets) -> None:
     """Raise NotOrthonormalError for the first basis in a stack (..., 4, 4)
     of ket rows whose Gram matrix is off the identity by GRAM_ATOL or more
     (or is not finite), naming its worst entry."""
-    dev = np.abs(gram(kets) - np.eye(4)).reshape(-1, 16)
-    bad = np.flatnonzero(~(dev.max(axis=1) < GRAM_ATOL))  # NaN included
-    if bad.size:
-        worst = int(np.argmax(dev[bad[0]]))
-        raise NotOrthonormalError(*divmod(worst, 4), float(dev[bad[0], worst]))
+    dev = np.abs(gram(kets) - _IDENTITY)
+    if dev.max(initial=0.0) < GRAM_ATOL:  # false for NaN
+        return
+    dev = dev.reshape(-1, 16)
+    bad = np.flatnonzero(~(dev.max(axis=1) < GRAM_ATOL))
+    worst = int(np.argmax(dev[bad[0]]))
+    raise NotOrthonormalError(*divmod(worst, 4), float(dev[bad[0], worst]))
 
 
 def validate_basis(kets, label: str = "custom") -> OrthonormalBasis:

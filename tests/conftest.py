@@ -1,21 +1,26 @@
 """Shared helpers: random states, random bases, and independent oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qlocc import BipartiteKet, validate_basis
+from qlocc import BipartiteKet, ShareSet, validate_basis
 from qlocc.classify import (
+    _REST,
+    _SPLIT_SIDES,
     ANTIPARALLEL_IM_TOL,
     ASSUMPTION_LOCC_ELIMINATION,
     ASSUMPTION_SEP_ELIMINATION,
+    BLOCK_SIZE,
     DUAN_SUM_TOL,
     NEAR_FACTOR,
     PAIRS,
     REGION_BOUNDARY_TOL,
     SPLITS,
     ClassificationReport,
+    Decisions,
     LoccCategory,
     Region,
     SepWitness,
@@ -31,10 +36,13 @@ from qlocc.entanglement import (
     SeparabilityCertificate,
     pt_spectrum_p12_closed,
 )
-from qlocc.linalg import normalize, orthogonal_complement_qubit
+from qlocc.codec import envelope, field, load
+from qlocc.linalg import (HERMITIAN_ATOL, cmul, normalize, orthogonal_complement_qubit,
+                          partial_transpose)
 from qlocc.protocols import (VANISH_TOL, Conclude, Eliminate, LocalMeasurement, Measure, Node,
                              ProtocolTree)
-from qlocc.states import complement_pair, family_a_kets, theta_kets
+from qlocc.states import (GRAM_ATOL, NotOrthonormalError, OrthonormalBasis, canonical_kets,
+                          coefficient_matrices, complement_pair, family_a_kets, gram, theta_kets)
 
 
 def haar_unitary(rng, n=4):
@@ -490,3 +498,200 @@ def reference_scan_text(argv) -> str:
     lines = ["# scan.v1 columns: " + ",".join(SCAN_COLUMNS), ",".join(columns)]
     lines += map(",".join, zip(*(table[c] for c in columns)))
     return "\n".join(lines) + "\n"
+
+
+# The classification kernel and the basis.v1 loader as they were before their
+# per-call costs were cut, kept verbatim (their array primitives included) as
+# the references for the differential tests in test_kernel.py and
+# test_codec.py: every Decisions field, and every decoded ket, phase, label
+# and error message, must agree bit for bit.
+
+_REF_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _ref_det2(m):
+    m = np.asarray(m, dtype=complex)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    adr, adi = cmul(a.real, a.imag, d.real, d.imag)
+    bcr, bci = cmul(b.real, b.imag, c.real, c.imag)
+    return ((adr - bcr) + 1j * (adi - bci))[()]
+
+
+def _ref_concurrences(kets):
+    d = _ref_det2(coefficient_matrices(kets))
+    return np.hypot(np.real(d), np.imag(d))
+
+
+def _ref_check_orthonormal(kets) -> None:
+    dev = np.abs(gram(kets) - np.eye(4)).reshape(-1, 16)
+    bad = np.flatnonzero(~(dev.max(axis=1) < GRAM_ATOL))  # NaN included
+    if bad.size:
+        worst = int(np.argmax(dev[bad[0]]))
+        raise NotOrthonormalError(*divmod(worst, 4), float(dev[bad[0], worst]))
+
+
+def _ref_pair_projectors(kets, pairs):
+    kets = np.asarray(kets, dtype=complex)
+    outer = kets[..., :, None] * kets.conj()[..., None, :]  # |k><k| per ket
+    i, j = np.array(pairs).T
+    p = outer[..., i, :, :]
+    p += outer[..., j, :, :]
+    return p
+
+
+def _ref_hermitian_eigenvalues(m):
+    m = np.asarray(m, dtype=complex)
+    s = np.swapaxes(m, -1, -2).conj()  # adjoint(m)
+    s -= m  # -(m - m^dagger), bit for bit
+    if not np.max(np.abs(s)) < HERMITIAN_ATOL:  # NaN included
+        raise ValueError("matrix is not Hermitian")
+    np.conjugate(np.swapaxes(m, -1, -2), out=s)
+    s += m
+    s *= 0.5
+    return np.linalg.eigvalsh(s)
+
+
+def _ref_min_pt_eigenvalues(ops):
+    return _ref_hermitian_eigenvalues(partial_transpose(ops))[..., 0]
+
+
+def _ref_first(ok: np.ndarray) -> np.ndarray:
+    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
+
+
+def _ref_duan(cons: np.ndarray, mats: np.ndarray):
+    rest = cons[:, _REST]  # (T, 4, 3)
+    residual = rest[..., 0] + rest[..., 1] + rest[..., 2] - cons
+    product = cons < CONCURRENCE_ZERO_TOL
+    rest_product = rest < CONCURRENCE_ZERO_TOL
+    adj_t = mats[..., ::-1, ::-1] * _REF_COFACTOR_SIGNS  # adj(A_l) transposed
+    t = (mats[:, _REST] * adj_t[:, :, None]).sum(axis=(-2, -1))  # tr(A_k adj(A_l)), (T, 4, 3)
+    dets = _ref_det2(mats)
+    d = dets[:, _REST] * dets[..., None]
+    s = np.sqrt(t * t - 4.0 * d)
+    big = 0.5 * np.where((t.conj() * s).real >= 0.0, t + s, t - s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lanes of product states
+        ratio = d / (big * big)
+    anti = (np.abs(ratio.imag) < ANTIPARALLEL_IM_TOL) & (ratio.real < 0.0)
+    anti_ok = (anti | rest_product).all(axis=-1)
+    ok = np.where(product, rest_product.all(axis=-1),
+                  anti_ok & (np.abs(residual) < DUAN_SUM_TOL))
+    return ok, residual
+
+
+def reference_decide(kets) -> Decisions:
+    kets = np.asarray(kets, dtype=complex)
+    if len(kets) > BLOCK_SIZE:
+        blocks = [reference_decide(kets[s:s + BLOCK_SIZE])
+                  for s in range(0, len(kets), BLOCK_SIZE)]
+        return Decisions(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                           for f in fields(Decisions)))
+    _ref_check_orthonormal(kets)
+    cons = _ref_concurrences(kets)
+    min_pt = _ref_min_pt_eigenvalues(_ref_pair_projectors(kets, PAIRS))
+
+    entangled = cons >= CONCURRENCE_ZERO_TOL
+    count = entangled.sum(axis=1)
+    eliminated = _ref_first(count[:, None] - entangled <= 1)
+    separable = min_pt >= -SEPARABILITY_TOL
+    split = _ref_first(separable[:, _SPLIT_SIDES[0]] & separable[:, _SPLIT_SIDES[1]])
+    locc_kind = np.where(count == 0, 0, np.where(eliminated >= 0, 1, np.where(split >= 0, 2, 3)))
+
+    need = (count > 0) & (split < 0)
+    duan_ok = np.zeros(cons.shape, dtype=bool)
+    residual = np.zeros(cons.shape)
+    if need.any():
+        duan_ok[need], residual[need] = _ref_duan(cons[need], coefficient_matrices(kets[need]))
+    passed = _ref_first(duan_ok)
+    last_tried = np.where(passed >= 0, passed, 3)
+    sep_kind = np.where(count == 0, 0, np.where(split >= 0, 1, np.where(passed >= 0, 2, 3)))
+    return Decisions(
+        concurrences=cons,
+        min_pt=min_pt,
+        entangled_count=count,
+        locc_kind=locc_kind,
+        eliminated=eliminated,
+        split=split,
+        sep_kind=sep_kind,
+        sep_eliminated=passed,
+        duan_residual=residual,
+        duan_tried=need[:, None] & (np.arange(4) <= last_tried[:, None]),
+    )
+
+
+_REF_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _ref_join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _ref_check(value, kind, where: str):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"{where}: expected {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
+def _ref_list(value, length, where: str) -> list:
+    _ref_check(value, list, where)
+    if length is not None and len(value) != length:
+        raise ValueError(f"{where}: expected {length} entries, got {len(value)}")
+    return value
+
+
+def _ref_complex_array(doc: dict, key: str, shape, path: str = "") -> np.ndarray:
+    def walk(value, dims, where):
+        if dims:
+            return [walk(x, dims[1:], f"{where}[{n}]")
+                    for n, x in enumerate(_ref_list(value, dims[0], where))]
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"{where}: expected [re, im]")
+        for n, x in enumerate(value):
+            # false for NaN and infinities, which json accepts, and for huge ints
+            if not abs(_ref_check(x, (int, float), f"{where}[{n}]")) <= _REF_FLOAT_MAX:
+                raise ValueError(f"{where}[{n}]: expected a finite number")
+        re, im = value
+        return complex(re, im)
+
+    return np.array(walk(field(doc, key, list, path), shape, _ref_join(path, key)), dtype=complex)
+
+
+def _ref_basis_from_vectors(vectors, label: str):
+    kets, phases = canonical_kets(np.asarray(vectors, dtype=complex))
+    kets.setflags(write=False)
+    states = tuple(BipartiteKet._canonical(k, p) for k, p in zip(kets, phases))
+    if len(states) != 4:
+        raise ValueError(f"expected 4 kets, got {len(states)}")
+    return OrthonormalBasis(states=states, label=label)
+
+
+def _ref_items(doc: dict, key: str, kind, path: str = "", length=None) -> list:
+    where = _ref_join(path, key)
+    value = _ref_list(field(doc, key, list, path), length, where)
+    return [_ref_check(x, kind, f"{where}[{n}]") for n, x in enumerate(value)]
+
+
+def _ref_basis_from_dict(doc, path: str = ""):
+    doc = envelope(doc, "basis.v1", path=path)
+    states = _ref_complex_array(doc, "states", (4, 4), path)
+    label = field(doc, "label", str, path, default="from-file")
+    return _ref_basis_from_vectors(states, label)
+
+
+def reference_basis_from_json(text: str):
+    return _ref_basis_from_dict(load(text, "basis.v1"))
+
+
+def reference_share_set_from_json(text: str):
+    doc = load(text, "shares.v1", "share_set")
+    copies = _ref_complex_array(doc, "copies", (3, 4))
+    kets, phases = canonical_kets(np.asarray(copies, dtype=complex))
+    kets.setflags(write=False)
+    share = ShareSet(
+        message=field(doc, "message", int),
+        copies=tuple(BipartiteKet._canonical(k, p) for k, p in zip(kets, phases)),
+        party_assignment=tuple(_ref_items(doc, "party_assignment", str)),
+        security_warning=field(doc, "security_warning", (str, type(None)), default=None),
+    )
+    return share, _ref_basis_from_dict(field(doc, "basis", dict), path="basis")

@@ -3,9 +3,12 @@ are rejected with a ValueError naming the JSON path, and the CLI exits 2."""
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from qlocc import (
     FamilyParams,
     ShareSet,
     a_basis,
+    basis_from_json,
     basis_to_json,
     protocol_from_json,
     protocol_to_json,
@@ -23,8 +27,9 @@ from qlocc import (
 )
 from qlocc.cli import main
 from qlocc.protocols import MAX_PROTOCOL_DEPTH
-from qlocc.secretshare import share_set_to_json
+from qlocc.secretshare import share_set_from_json, share_set_to_json
 from qlocc.states import GRAM_ATOL
+from conftest import reference_basis_from_json, reference_share_set_from_json
 
 BASIS = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
 BASIS_DOC = json.loads(basis_to_json(BASIS))
@@ -128,6 +133,71 @@ def test_protocol_at_the_depth_limit_decodes():
     assert protocol_from_json(_eliminate_chain(MAX_PROTOCOL_DEPTH)).copies == 1
 
 
+# --- the loader against the one it replaced -------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _kets(kets) -> list:
+    """Amplitude bytes and phase bytes (and type) of each ket."""
+    return [(k.amplitudes.tobytes(), np.array(k.phase).tobytes(), type(k.phase)) for k in kets]
+
+
+def _basis_outcome(load, text):
+    """What loading ``text`` gives: the kets and label, or the error."""
+    try:
+        b = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return _kets(b), b.label, b.matrix().tobytes()
+
+
+def _shares_outcome(load, text):
+    try:
+        share, b = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (share.message, _kets(share.copies), share.party_assignment, share.security_warning,
+            _kets(b), b.label)
+
+
+def test_basis_loader_equals_reference_on_bench_documents():
+    # seeded basis.v1 files of every kind the benchmark sends, in its compact
+    # layout, and the same bases as this package writes them (indent=2)
+    workloads = _bench_workloads()
+    rng = np.random.default_rng(20261019)
+    texts = []
+    for n in range(4 * len(workloads.BASIS_KINDS)):
+        kind = workloads.BASIS_KINDS[n % len(workloads.BASIS_KINDS)]
+        texts.append(workloads.basis_json(workloads.random_basis(kind, rng), f"bench-{n}-{kind}"))
+    texts += [basis_to_json(basis_from_json(text)) for text in texts]
+    texts.append(json.dumps(_with(BASIS_DOC, ("states", 0, 1), [0, -0.0])))  # ints, signed zero
+    for text in texts:
+        outcome = _basis_outcome(basis_from_json, text)
+        assert outcome == _basis_outcome(reference_basis_from_json, text)
+        assert isinstance(outcome[0], list)
+
+
+@pytest.mark.parametrize("command,doc,path", MALFORMED_FILES)
+def test_malformed_file_message_equals_reference(command, doc, path):
+    text = json.dumps(doc)
+    if command == "analyze":
+        outcome = _basis_outcome(basis_from_json, text)
+        assert outcome == _basis_outcome(reference_basis_from_json, text)
+    else:
+        outcome = _shares_outcome(share_set_from_json, text)
+        assert outcome == _shares_outcome(reference_share_set_from_json, text)
+    assert outcome[1].startswith(f"{path}:")
+
+
 # --- fuzzing ------------------------------------------------------------------
 
 JSON_VALUES = st.recursive(
@@ -176,6 +246,20 @@ def test_fuzz_shares_file_exits_0_or_2(tmp_path_factory, text):
     f = tmp_path_factory.getbasetemp() / "fuzz_shares.json"
     f.write_text(text)
     assert _run(["secret-share", "decode", "--shares-file", str(f)])[0] in (0, 2)
+
+
+@FUZZ
+@given(text=_documents(BASIS_DOC))
+def test_fuzz_basis_loader_equals_reference(text):
+    assert _basis_outcome(basis_from_json, text) == \
+        _basis_outcome(reference_basis_from_json, text)
+
+
+@FUZZ
+@given(text=_documents(SHARES_DOC))
+def test_fuzz_shares_loader_equals_reference(text):
+    assert _shares_outcome(share_set_from_json, text) == \
+        _shares_outcome(reference_share_set_from_json, text)
 
 
 @FUZZ

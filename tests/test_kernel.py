@@ -23,14 +23,15 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
-from qlocc.classify import (BLOCK_SIZE, LOCC_KINDS, NEAR_FACTOR, PAIRS, SEP_KINDS, Decisions,
+from qlocc.classify import (_COUNT, _ELIMINATED, _LOCC_KIND, _SEP_KIND, _SPLIT, _SPLIT_SIDES,
+                            BLOCK_SIZE, LOCC_KINDS, NEAR_FACTOR, PAIRS, SEP_KINDS, Decisions,
                             SepWitness, decide)
 from qlocc.cli import main
 from qlocc.entanglement import (PSD_ATOL, SEPARABILITY_TOL, pair_projector, pair_projectors,
                                 separability_certificate)
 from qlocc.states import canonical_kets, family_a_kets
 from conftest import (haar_unitary, random_basis, random_low_entanglement_basis,
-                      reference_analyze)
+                      reference_analyze, reference_decide)
 
 PI_4 = math.pi / 4
 PI_6 = math.pi / 6
@@ -112,6 +113,55 @@ def test_kernel_reports_equal_reference_path(rng):
     mismatched = [b.label for b, p in cases
                   if report_to_json(analyze(b, p)) != report_to_json(reference_analyze(b, p))]
     assert mismatched == []
+
+
+def test_decide_equals_reference_kernel_bit_for_bit(rng):
+    # the kernel as it was before its per-call costs were cut
+    # (conftest.reference_decide), on a stack crossing block seams and on
+    # single-basis calls; sized to about 1 s, and checked to reach every
+    # verdict, every SEP elimination outcome and both product-threshold sides
+    cases = differential_inputs(rng, haar=200, low=200)
+    kets = np.concatenate([[b.matrix() for b, _ in cases],
+                           near_threshold_kets(rng, 250, [1e-9, 3e-9], rotations=1)])
+    stack, reference = decide(kets), reference_decide(kets)
+    for f in fields(Decisions):
+        assert getattr(stack, f.name).tobytes() == getattr(reference, f.name).tobytes(), f.name
+    assert len(kets) > BLOCK_SIZE
+    assert set(stack.locc_kind.tolist()) == set(range(len(LOCC_KINDS)))
+    assert set(stack.sep_kind.tolist()) == set(range(len(SEP_KINDS)))
+    assert set(stack.sep_eliminated[stack.sep_kind == 2].tolist()) == {0, 1, 2, 3}
+    assert stack.duan_tried.any() and stack.duan_residual.any()
+    # one call per basis: a few of every verdict pattern, then every 25th
+    pattern = np.stack([stack.locc_kind, stack.sep_kind, stack.sep_eliminated,
+                        stack.entangled_count], axis=1)
+    _, firsts = np.unique(pattern, axis=0, return_index=True)
+    singles = np.union1d(firsts, np.arange(0, len(kets), 25))
+    for n in singles.tolist():
+        alone, expected = decide(kets[n][None]), reference_decide(kets[n][None])
+        for f in fields(Decisions):
+            assert getattr(alone, f.name).tobytes() == getattr(expected, f.name).tobytes()
+
+
+def test_case_split_tables_equal_the_array_rule():
+    # every pair of entangled and separable masks, reachable or not, through
+    # the array expressions the tables replaced
+    ent = np.repeat(np.arange(16), 64)
+    sep = np.tile(np.arange(64), 16)
+    entangled = (ent[:, None] >> np.arange(4)) & 1 == 1
+    separable = (sep[:, None] >> np.arange(len(PAIRS))) & 1 == 1
+
+    def first(ok):
+        return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1), -1)
+
+    count = entangled.sum(axis=1)
+    eliminated = first(count[:, None] - entangled <= 1)
+    split = first(separable[:, _SPLIT_SIDES[0]] & separable[:, _SPLIT_SIDES[1]])
+    locc = np.where(count == 0, 0, np.where(eliminated >= 0, 1, np.where(split >= 0, 2, 3)))
+    sep_none = np.where(count == 0, 0, np.where(split >= 0, 1, 3))
+    for table, want in ((_COUNT[ent], count), (_ELIMINATED[ent], eliminated),
+                        (_SPLIT[sep], split), (_LOCC_KIND[ent, sep], locc),
+                        (_SEP_KIND[ent, sep], sep_none)):
+        assert table.tobytes() == want.tobytes()
 
 
 def test_duan_warnings_stop_at_first_passing_elimination():

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from qlocc import cli
 from qlocc.classify import BLOCK_SIZE
 from qlocc.cli import main
 from conftest import reference_scan_text
@@ -64,6 +65,35 @@ def test_streamed_scan_bytes_equal_whole_grid_path(name, tmp_path):
     target = tmp_path / "scan.csv"
     assert _stdout(argv + ["-o", str(target)]) == ""
     assert target.read_bytes() == expected.encode("utf-8")
+
+
+# column subsets that read the kernel, or only some of it, or not at all
+# (one of them on the theta family, whose family-A columns stay empty)
+COLUMN_SUBSETS = {
+    "no_kernel": _a(_edges(7), _edges(8), _edges(16), "--columns", "alpha,beta,gamma,region"),
+    "kernel_only": _a(_edges(7), _edges(8), _edges(16), "--columns",
+                      "min_copies_locc,c3,min_pt_02,entangled_count"),
+    "spectra": _a(_edges(7), _edges(8), _edges(16), "--columns", "e4_p12,family,e1_p12,beta"),
+    "repeated": _a(_edges(3), _edges(5), _edges(17), "--columns", "c2,gamma,c2,region,gamma"),
+    "theta": ["scan", "--family", "theta", "--theta", _edges(2 * BLOCK_SIZE + 3), "--columns",
+              "alpha,region,e2_p12,theta,min_copies_sep,c1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_SUBSETS))
+def test_column_subset_bytes_equal_whole_grid_path(name):
+    assert _stdout(COLUMN_SUBSETS[name]) == reference_scan_text(COLUMN_SUBSETS[name])
+
+
+def test_scan_without_kernel_columns_never_runs_the_kernel(monkeypatch):
+    def refuse(kets):
+        raise AssertionError("decide called")
+
+    monkeypatch.setattr(cli, "decide", refuse)
+    argv = COLUMN_SUBSETS["no_kernel"]
+    assert _stdout(argv) == reference_scan_text(argv)
+    with pytest.raises(AssertionError, match="decide called"):
+        _stdout(COLUMN_SUBSETS["kernel_only"])
 
 
 def _traced_peak(argv) -> int:
