@@ -232,7 +232,9 @@ def _duan(cons: np.ndarray, mats: np.ndarray, dets: np.ndarray) -> tuple[np.ndar
     product = cons < CONCURRENCE_ZERO_TOL
     rest_product = product[:, _REST]
     adj_t = mats[..., ::-1, ::-1] * _COFACTOR_SIGNS  # adj(A_l) transposed
-    t = (mats[:, _REST] * adj_t[:, :, None]).sum(axis=(-2, -1))  # tr(A_k adj(A_l)), (T, 4, 3)
+    p = mats[:, _REST] * adj_t[:, :, None]
+    # tr(A_k adj(A_l)), (T, 4, 3), summed as .sum(axis=(-2, -1)) sums a 2x2 block
+    t = (p[..., 0, 0] + p[..., 0, 1]) + (p[..., 1, 0] + p[..., 1, 1])
     d = dets[:, _REST] * dets[..., None]
     s = np.sqrt(t * t - 4.0 * d)
     big = 0.5 * np.where((t.conj() * s).real >= 0.0, t + s, t - s)

@@ -67,6 +67,8 @@ REGION_LABELS = tuple(r.name if r.which is None else f"{r.name}:{r.which}"
 
 
 _fmt = "%.12g".__mod__  # a float with 12 significant digits, as f"{x:.12g}"
+# the labels of scan's count columns: entangled counts 0-4, copy counts 1-3
+_COUNT_LABELS = np.array([str(k) for k in range(5)], dtype=object)
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -133,6 +135,19 @@ def _labels(values) -> np.ndarray:
     return np.array(list(map(_fmt, values)), dtype=object)
 
 
+def _run_labels(values: np.ndarray) -> list[str]:
+    """list(map(_fmt, values.tolist())) of a float column, with each run of
+    bit-identical consecutive values formatted once (-0.0 and 0.0 are not
+    identical); a column with no runs is formatted per value."""
+    bits = values.view(np.int64)
+    first = np.empty(len(values), dtype=bool)  # the first value of each run
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if first.all():
+        return list(map(_fmt, values.tolist()))
+    return _labels(values[first].tolist())[np.cumsum(first) - 1].tolist()
+
+
 def _scan_blocks(family: str, axes: dict[str, list[float]],
                  columns: tuple[str, ...]) -> Iterator[str]:
     """The scan's CSV rows (alpha-major) in text chunks of BLOCK_SIZE grid
@@ -141,7 +156,9 @@ def _scan_blocks(family: str, axes: dict[str, list[float]],
     per-axis labels and the per-(alpha, beta) closed-form spectra live for
     the whole scan.  Only the selected columns are formatted, and the kernel
     runs only when one of them reads it; columns that do not apply to the
-    family stay empty."""
+    family stay empty.  A kernel float column is formatted once per run of
+    equal values (c1 repeats over beta x gamma, c2 and min_pt_01 over
+    gamma), and the count columns gather their labels from a table."""
     wanted = set(columns)
     kernel = not wanted.isdisjoint(KERNEL_COLUMNS)
     if family == "A":
@@ -185,10 +202,10 @@ def _scan_blocks(family: str, axes: dict[str, list[float]],
             floats = {**{f"c{k + 1}": d.concurrences[:, k] for k in range(4)},
                       **{f"min_pt_{i}{j}": d.min_pt[:, q] for q, (i, j) in enumerate(PAIRS)}}
             for name in wanted.intersection(floats):
-                table[name] = list(map(_fmt, floats[name].tolist()))
+                table[name] = _run_labels(floats[name])
             for name in wanted.intersection(("entangled_count", "min_copies_locc",
                                              "min_copies_sep")):
-                table[name] = list(map(str, getattr(d, name).tolist()))
+                table[name] = _COUNT_LABELS[getattr(d, name)].tolist()
         yield "\n".join(map(",".join, zip(*(table[c] for c in columns)))) + "\n"
 
 

@@ -97,9 +97,30 @@ def pair_min_pt_eigenvalues(kets, pairs) -> np.ndarray:
     """min_pt_eigenvalues(pair_projectors(kets, pairs)), bit for bit, shape
     (..., len(pairs)): each entry of a partial transpose is the same sum of
     outer-product entries, gathered straight into its transposed place, so
-    no projector stack is built or transposed."""
-    pt = _pair_sums(kets, _pair_entries(tuple(map(tuple, pairs)), True))
-    return hermitian_eigenvalues(pt)[..., 0]
+    no projector stack is built or transposed.
+
+    Down a stack of bases (N, 4, 4), a pair whose two kets hold the same
+    bits as in the basis before it has the same partial transpose, so only
+    the first basis of each such run is solved and its minimum is copied
+    down the run: on an alpha-major family-A grid, states 0 and 1 do not
+    change with gamma."""
+    pairs = tuple(map(tuple, pairs))
+    pt = _pair_sums(kets, _pair_entries(pairs, True))
+    if pt.ndim != 4 or len(pt) < 2:
+        return hermitian_eigenvalues(pt)[..., 0]
+    # bit patterns, so -0.0 and 0.0 differ: (N - 1, 4), ket k moved from above
+    bits = np.ascontiguousarray(kets, dtype=complex).view(np.int64)
+    moved = (bits[1:] != bits[:-1]).any(axis=-1)
+    i, j = np.array(pairs).T
+    solve = np.ones(pt.shape[:2], dtype=bool)
+    solve[1:] = moved[:, i] | moved[:, j]
+    min_pt = np.empty(solve.shape)
+    pt = pt[solve]  # rebound, so the full stack is freed before the solve's buffers
+    min_pt[solve] = hermitian_eigenvalues(pt)[:, 0]
+    # the row each entry copies: the last solved row at or above it
+    source = np.where(solve, np.arange(len(solve))[:, None], 0)
+    np.maximum.accumulate(source, axis=0, out=source)
+    return min_pt[source, np.arange(len(pairs))]
 
 
 def _pair_sums(kets, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -158,7 +179,17 @@ def separability_certificate(m) -> SeparabilityCertificate:
     """
     m = np.asarray(m, dtype=complex)
     min_pt = float(min_pt_eigenvalues(m[None])[0])
-    if hermitian_eigenvalues(m)[0] < -PSD_ATOL:
+    return certificate_from_spectra(min_pt, hermitian_eigenvalues(m)[0])
+
+
+def certificate_from_spectra(min_pt: float, min_eigenvalue: float) -> SeparabilityCertificate:
+    """`separability_certificate` of an operator whose smallest partial-transpose
+    eigenvalue and smallest eigenvalue are already solved.
+
+    Raises ValueError unless the operator is positive semidefinite (within
+    PSD_ATOL).
+    """
+    if min_eigenvalue < -PSD_ATOL:
         raise ValueError("operator is not positive semidefinite")
     return SeparabilityCertificate(
         min_pt_eigenvalue=min_pt,

@@ -1,7 +1,10 @@
 """Shared helpers: random states, random bases, and independent oracles."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,17 @@ from qlocc.protocols import (VANISH_TOL, Conclude, Eliminate, LocalMeasurement, 
                              ProtocolTree)
 from qlocc.states import (GRAM_ATOL, NotOrthonormalError, OrthonormalBasis, canonical_kets,
                           coefficient_matrices, complement_pair, family_a_kets, gram, theta_kets)
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded as a module: the seeded inputs the
+    benchmark sends."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def haar_unitary(rng, n=4):

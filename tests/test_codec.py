@@ -3,12 +3,9 @@ are rejected with a ValueError naming the JSON path, and the CLI exits 2."""
 
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +26,7 @@ from qlocc.cli import main
 from qlocc.protocols import MAX_PROTOCOL_DEPTH
 from qlocc.secretshare import share_set_from_json, share_set_to_json
 from qlocc.states import GRAM_ATOL
-from conftest import reference_basis_from_json, reference_share_set_from_json
+from conftest import bench_workloads, reference_basis_from_json, reference_share_set_from_json
 
 BASIS = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
 BASIS_DOC = json.loads(basis_to_json(BASIS))
@@ -135,17 +132,6 @@ def test_protocol_at_the_depth_limit_decodes():
 
 # --- the loader against the one it replaced -------------------------------------
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def _kets(kets) -> list:
     """Amplitude bytes and phase bytes (and type) of each ket."""
     return [(k.amplitudes.tobytes(), np.array(k.phase).tobytes(), type(k.phase)) for k in kets]
@@ -172,7 +158,7 @@ def _shares_outcome(load, text):
 def test_basis_loader_equals_reference_on_bench_documents():
     # seeded basis.v1 files of every kind the benchmark sends, in its compact
     # layout, and the same bases as this package writes them (indent=2)
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     rng = np.random.default_rng(20261019)
     texts = []
     for n in range(4 * len(workloads.BASIS_KINDS)):

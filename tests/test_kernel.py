@@ -26,10 +26,11 @@ from qlocc import (
 from qlocc.classify import (_COUNT, _ELIMINATED, _LOCC_KIND, _SEP_KIND, _SPLIT, _SPLIT_SIDES,
                             BLOCK_SIZE, LOCC_KINDS, NEAR_FACTOR, PAIRS, SEP_KINDS, Decisions,
                             SepWitness, decide)
+from qlocc import entanglement
 from qlocc.cli import main
 from qlocc.entanglement import (PSD_ATOL, SEPARABILITY_TOL, pair_projector, pair_projectors,
                                 separability_certificate)
-from qlocc.states import canonical_kets, family_a_kets
+from qlocc.states import canonical_kets, family_a_kets, theta_kets
 from conftest import (haar_unitary, random_basis, random_low_entanglement_basis,
                       reference_analyze, reference_decide)
 
@@ -246,6 +247,75 @@ def test_kernel_min_pt_equals_certificates_and_skipped_psd_check_cannot_fire(rng
                            for i, j in PAIRS] for b in bases])
     assert min_pt.tobytes() == certified.tobytes()
     assert np.linalg.eigvalsh(pair_projectors(kets, PAIRS))[..., 0].min() >= -PSD_ATOL
+
+
+def _solved_counts(monkeypatch) -> list[int]:
+    """The number of matrices each later `hermitian_eigenvalues` call of the
+    kernel solves, recorded as the calls are made."""
+    counts, solve = [], entanglement.hermitian_eigenvalues
+
+    def counting(m):
+        counts.append(math.prod(np.shape(m)[:-2]))
+        return solve(m)
+
+    monkeypatch.setattr(entanglement, "hermitian_eigenvalues", counting)
+    return counts
+
+
+def _distinct_pairs(kets, same) -> int:
+    """Pair projectors of each kernel block whose two kets are not both
+    ``same`` as in the basis before them, the block's first basis counting
+    every pair."""
+    count = 0
+    for start in range(0, len(kets), BLOCK_SIZE):
+        block = kets[start:start + BLOCK_SIZE]
+        count += len(PAIRS)
+        for above, below in zip(block, block[1:]):
+            count += sum(not (same(above[i], below[i]) and same(above[j], below[j]))
+                         for i, j in PAIRS)
+    return count
+
+
+def test_kernel_solves_each_distinct_pair_projector_once(rng, monkeypatch):
+    # runs of bases that share kets with the basis above them: the family-A
+    # grid (states 0 and 1 do not move with gamma; six blocks), Haar bases
+    # each followed by itself with kets 2 and 3 turned within their span,
+    # and the computational basis followed by itself with one zero
+    # amplitude's sign flipped, which must be solved again
+    edge = np.linspace(0.0, math.pi / 2, 9)
+    grid = family_a_kets(edge, edge, np.linspace(0.0, math.pi / 2, 16))
+    haar = []
+    for _ in range(60):
+        k = random_basis(rng).matrix()
+        turned = k.copy()
+        turned[2:] = haar_unitary(rng, 2) @ k[2:]
+        haar += [k, turned]
+    signed = np.eye(4, dtype=complex)
+    signed[0, 1] = complex(-0.0, 0.0)
+    kets = np.concatenate([grid, haar, [np.eye(4), signed]])
+    counts = _solved_counts(monkeypatch)
+    stack, reference = decide(kets), reference_decide(kets)
+    for f in fields(Decisions):
+        assert getattr(stack, f.name).tobytes() == getattr(reference, f.name).tobytes(), f.name
+    bitwise = _distinct_pairs(kets, lambda a, b: a.tobytes() == b.tobytes())
+    assert sum(counts) == bitwise < len(PAIRS) * len(kets)
+    # (0, 1), (0, 2) and (0, 3) of the sign-flipped basis are solved again
+    assert _distinct_pairs(kets, lambda a, b: (a == b).all()) == bitwise - 3
+
+
+def test_theta_grid_solves_every_pair_projector(monkeypatch):
+    # every ket of the theta family moves with theta: nothing repeats
+    kets = theta_kets(np.linspace(0.0, math.pi / 2, BLOCK_SIZE + 5))
+    counts = _solved_counts(monkeypatch)
+    stack, reference = decide(kets), reference_decide(kets)
+    assert stack.min_pt.tobytes() == reference.min_pt.tobytes()
+    assert sum(counts) == len(PAIRS) * len(kets)
+
+
+def test_single_basis_kernel_makes_one_solve_of_six(rng, monkeypatch):
+    counts = _solved_counts(monkeypatch)
+    decide(random_basis(rng).matrix()[None])
+    assert counts == [len(PAIRS)]
 
 
 def _scan_bytes(argv) -> str:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qlocc import cli
@@ -130,3 +131,45 @@ def test_rejected_scan_leaves_output_file_untouched(bad, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert target.read_bytes() == b"previous contents\n"
+
+
+# float columns as the kernel hands them over: signed zeros that must not
+# share a label, long runs, no runs, and a strided column of a 2-D array
+RUN_COLUMNS = {
+    "signed_zeros": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
+    "long_runs": np.repeat([0.125, 1e-17, -2.5e-10, 0.125, 1.0], [300, 1, 77, 2, 40]),
+    "no_runs": np.linspace(-1.0, 1.0, BLOCK_SIZE),
+    "one_value": np.array([0.7071067811865476]),
+    "strided": np.repeat(np.arange(12.0).reshape(4, 3), 5, axis=0)[:, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_COLUMNS))
+def test_run_labels_equal_per_value_labels(name):
+    column = RUN_COLUMNS[name]
+    assert cli._run_labels(column) == list(map(cli._fmt, column.tolist()))
+
+
+def _formats(monkeypatch) -> list:
+    """Every value `cli._fmt` formats, recorded as it is called."""
+    values, fmt = [], cli._fmt
+
+    def recording(x):
+        values.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", recording)
+    return values
+
+
+def test_scan_formats_each_run_of_equal_kernel_values_once(monkeypatch):
+    # c1 runs over beta x gamma (40 x 9 = 360 points) and c2 and min_pt_01
+    # over gamma (9 points), so runs cross the block seams at 256 and 512
+    argv = _a(_edges(4), "0.3:1.2:40", "0.1:1.4:9", "--columns", "c1,c2,min_pt_01,c3")
+    formatted = _formats(monkeypatch)
+    assert _stdout(argv) == reference_scan_text(argv)
+    points = 4 * 40 * 9
+    seams = points // BLOCK_SIZE
+    # c3 moves with gamma and is formatted per point; c1 once per alpha and
+    # c2 and min_pt_01 once per (alpha, beta), each once more per block seam
+    assert len(formatted) <= points + (4 + seams) + 2 * (4 * 40 + seams)

@@ -5,6 +5,7 @@ import pytest
 
 from qlocc import (
     FamilyParams,
+    basis_from_json,
     IntegrityError,
     a_basis,
     decode_full_collaboration,
@@ -13,14 +14,18 @@ from qlocc import (
     strong_pair_shares,
     theta_basis,
 )
+from qlocc.entanglement import pair_projector, separability_certificate
+from qlocc.linalg import outer
 from qlocc.secretshare import (
     MixedShare,
     ShareSet,
+    StrongPairShares,
     mixed_share_eigenvalues,
     share_set_from_json,
     share_set_to_json,
     strong_pair_to_json,
 )
+from conftest import bench_workloads
 
 PI_4 = math.pi / 4
 
@@ -151,3 +156,36 @@ def test_decode_recovers_even_under_nonuniform_mixture_weights():
 def test_share_eigenvalue_sum_is_one():
     out = strong_pair_shares(strong_basis(), 1, 3, 0.25, 0.75)
     assert abs(hermitian_eigenvalues(out.share.sigma).sum() - 1.0) < 1e-12
+
+
+def _strong_pair_six_solves(b, i, j, lam, mu) -> StrongPairShares:
+    """strong_pair_shares as it was built from six separate solves: the
+    constructor's two and two per separability certificate."""
+    k, l = (n for n in range(4) if n not in (i, j))
+    sigma = lam * outer(b[i].amplitudes) + (1 - lam) * outer(b[j].amplitudes)
+    sigma_perp = mu * outer(b[k].amplitudes) + (1 - mu) * outer(b[l].amplitudes)
+    share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=lam, mu=mu)
+    pair = separability_certificate(pair_projector(b, i, j))
+    complement = separability_certificate(pair_projector(b, k, l))
+    return StrongPairShares(share, (i, j), (k, l), pair, complement,
+                            float(abs(np.trace(share.sigma @ share.sigma_perp))),
+                            not pair.is_separable and not complement.is_separable)
+
+
+def test_strong_pair_one_solve_equals_six_separate_solves_on_bench_bases():
+    # every ordered pair of two bases of each basis kind the benchmark sends;
+    # shares.v1 writes floats by repr, so equal text is equal bits
+    workloads = bench_workloads()
+    rng = np.random.default_rng(20261019)
+    for n in range(2 * len(workloads.BASIS_KINDS)):
+        kind = workloads.BASIS_KINDS[n % len(workloads.BASIS_KINDS)]
+        b = basis_from_json(workloads.basis_json(workloads.random_basis(kind, rng), kind))
+        for i in range(4):
+            for j in range(4):
+                if i == j:
+                    continue
+                lam, mu = rng.uniform(0.2, 0.8, size=2).tolist()
+                out = strong_pair_shares(b, i, j, lam, mu)
+                assert strong_pair_to_json(out) == strong_pair_to_json(
+                    _strong_pair_six_solves(b, i, j, lam, mu))
+                assert type(out.certificate_pair.is_separable) is bool
