@@ -94,10 +94,11 @@ def pair_projectors(kets, pairs) -> np.ndarray:
 
 
 def pair_min_pt_eigenvalues(kets, pairs) -> np.ndarray:
-    """min_pt_eigenvalues(pair_projectors(kets, pairs)), bit for bit, shape
-    (..., len(pairs)): each entry of a partial transpose is the same sum of
-    outer-product entries, gathered straight into its transposed place, so
-    no projector stack is built or transposed.
+    """The smallest partial-transpose eigenvalue of each of
+    pair_projectors(kets, pairs), shape (..., len(pairs)), with the bits of
+    `separability_certificates`: each entry of a partial transpose is the
+    same sum of outer-product entries, gathered straight into its transposed
+    place, so no projector stack is built or transposed.
 
     Down a stack of bases (N, 4, 4), a pair whose two kets hold the same
     bits as in the basis before it has the same partial transpose, so only
@@ -158,43 +159,26 @@ def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False
     return np.eye(4, dtype=complex) - p if complement else p
 
 
-def min_pt_eigenvalues(ops) -> np.ndarray:
-    """Smallest partial-transpose eigenvalue of each operator in a stack
-    (..., 4, 4), from one `hermitian_eigenvalues` over the partial transposes.
+def separability_certificates(ops) -> list[SeparabilityCertificate]:
+    """PPT certificate for each Hermitian PSD operator in a stack (N, 4, 4),
+    from one `hermitian_eigenvalues` over the operators and their partial
+    transposes.
 
-    Raises ValueError unless every operator is Hermitian (so is its partial
-    transpose: m - m^dagger and its partial transpose hold the same entries).
-    Positivity of the operators themselves is not checked here: the pair
-    projectors of an orthonormal basis are PSD by construction, and
-    `separability_certificate` checks operators given from outside.
+    Raises ValueError unless every operator is Hermitian and positive
+    semidefinite (within PSD_ATOL).
     """
-    return hermitian_eigenvalues(partial_transpose(ops))[..., 0]
+    ops = np.asarray(ops, dtype=complex)
+    lows = hermitian_eigenvalues(np.concatenate([ops, partial_transpose(ops)]))[:, 0].tolist()
+    if any(low < -PSD_ATOL for low in lows[:len(ops)]):
+        raise ValueError("operator is not positive semidefinite")
+    return [SeparabilityCertificate(min_pt_eigenvalue=min_pt,
+                                    is_separable=min_pt >= -SEPARABILITY_TOL)
+            for min_pt in lows[len(ops):]]
 
 
 def separability_certificate(m) -> SeparabilityCertificate:
-    """PPT certificate for a Hermitian PSD operator on two qubits.
-
-    Raises ValueError unless the operator is Hermitian and positive
-    semidefinite (within PSD_ATOL).
-    """
-    m = np.asarray(m, dtype=complex)
-    min_pt = float(min_pt_eigenvalues(m[None])[0])
-    return certificate_from_spectra(min_pt, hermitian_eigenvalues(m)[0])
-
-
-def certificate_from_spectra(min_pt: float, min_eigenvalue: float) -> SeparabilityCertificate:
-    """`separability_certificate` of an operator whose smallest partial-transpose
-    eigenvalue and smallest eigenvalue are already solved.
-
-    Raises ValueError unless the operator is positive semidefinite (within
-    PSD_ATOL).
-    """
-    if min_eigenvalue < -PSD_ATOL:
-        raise ValueError("operator is not positive semidefinite")
-    return SeparabilityCertificate(
-        min_pt_eigenvalue=min_pt,
-        is_separable=min_pt >= -SEPARABILITY_TOL,
-    )
+    """`separability_certificates` of one operator."""
+    return separability_certificates(np.asarray(m)[None])[0]
 
 
 def _sqrt_clamped(x: float) -> float:

@@ -112,7 +112,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     # temporaries peak no higher than the check alone needs
     s = m.swapaxes(-1, -2).conj()
     s -= m  # -(m - m^dagger), bit for bit
-    if not np.abs(s).max() < HERMITIAN_ATOL:  # NaN included
+    if not np.abs(s).max(initial=0.0) < HERMITIAN_ATOL:  # NaN included
         raise ValueError("matrix is not Hermitian")
     # symmetrize away the (sub-tolerance) anti-Hermitian part before solving:
     # same bits as 0.5 * (m + m^dagger)

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import codec
 from .classify import min_copies_adaptive_locc
-from .entanglement import (SeparabilityCertificate, certificate_from_spectra, certificate_to_dict,
-                           pair_projectors)
+from .entanglement import (SeparabilityCertificate, certificate_to_dict, pair_projectors,
+                           separability_certificates)
 # not called here; bench/tracing.py wraps them by name
 from .entanglement import pair_projector, separability_certificate  # noqa: F401
-from .linalg import hermitian_eigenvalues, outer, partial_transpose
+from .linalg import hermitian_eigenvalues, outer
 from .protocols import elimination_tournament, outcome_distribution
 from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
                      complement_pair, kets_from_vectors)
@@ -64,30 +64,11 @@ class MixedShare:
     mu: float
 
     def __post_init__(self):
-        self._check(None)
-
-    @classmethod
-    def _solved(cls, sigma, sigma_perp, lam: float, mu: float, lows) -> MixedShare:
-        """The share the constructor builds, given ``lows``, the smallest
-        eigenvalues of sigma and sigma_perp from a solve that passed the
-        Hermitian check: the same checks, in the same order, without a
-        solve of their own."""
-        share = object.__new__(cls)
-        for name, value in zip(("sigma", "sigma_perp", "lam", "mu"),
-                               (sigma, sigma_perp, lam, mu)):
-            object.__setattr__(share, name, value)
-        share._check(lows)
-        return share
-
-    def _check(self, lows) -> None:
-        """The constructor's checks, in order; ``lows`` as for `_solved`, or
-        None to solve each matrix here."""
-        for n, name in enumerate(("sigma", "sigma_perp")):
+        for name in ("sigma", "sigma_perp"):
             m = np.asarray(getattr(self, name), dtype=complex)
             if abs(np.trace(m).real - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not trace 1")
-            low = hermitian_eigenvalues(m)[0] if lows is None else lows[n]
-            if low < -1e-10:
+            if hermitian_eigenvalues(m)[0] < -1e-10:
                 raise ValueError(f"{name} is not positive semidefinite")
             m.setflags(write=False)
             object.__setattr__(self, name, m)
@@ -150,15 +131,9 @@ def strong_pair_shares(
         raise ValueError("lambda and mu must lie strictly inside (0, 1)")
     sigma = lam * outer(b[i].amplitudes) + (1 - lam) * outer(b[j].amplitudes)
     sigma_perp = mu * outer(b[k].amplitudes) + (1 - mu) * outer(b[l].amplitudes)
-    projectors = pair_projectors(b.matrix(), [(i, j), (k, l)])
-    # one solve for every spectrum the checks read, each matrix with the bits
-    # of a solve of its own: sigma, sigma_perp, both support projectors
-    # (the PSD checks of separability_certificate) and their partial transposes
-    lows = hermitian_eigenvalues(np.concatenate(
-        [[sigma, sigma_perp], projectors, partial_transpose(projectors)]))[:, 0].tolist()
-    share = MixedShare._solved(sigma, sigma_perp, lam, mu, lows[:2])
-    cert_pair = certificate_from_spectra(lows[4], lows[2])
-    cert_comp = certificate_from_spectra(lows[5], lows[3])
+    share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=lam, mu=mu)
+    cert_pair, cert_comp = separability_certificates(
+        pair_projectors(b.matrix(), [(i, j), (k, l)]))
     return StrongPairShares(
         share=share,
         pair=(i, j),

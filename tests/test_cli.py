@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,24 @@ from qlocc.cli import build_parser, main
 from qlocc.protocols import LeafTable
 
 PI_4_TEXT = "0.78539816339744831"
+DATA = Path(__file__).resolve().parent / "data"
+
+# report.v1 and shares.v1 bytes, run in DATA, where the basis.v1 inputs are
+GOLDEN_OUTPUTS = {
+    "analyze_family_a.report.json": [
+        "analyze", "--family", "A", "--alpha", "0.3", "--beta", "0.9", "--gamma", "0.7853981634"],
+    "analyze_theta.report.json": ["analyze", "--family", "theta", "--theta", "0.6"],
+    "analyze_elimination.report.json": ["analyze", "--basis-file", "elimination.basis.json"],
+    "encode_three_copy.shares.json": [
+        "secret-share", "encode", "--basis-file", "three_copy.basis.json", "--message", "2"],
+    "encode_weak.shares.json": [
+        "secret-share", "encode", "--basis-file", "weak.basis.json", "--message", "1"],
+    "strong_pair_pass.shares.json": [
+        "secret-share", "strong-pair", "--basis-file", "three_copy.basis.json",
+        "--i", "0", "--j", "2", "--lambda", "0.3", "--mu", "0.7"],
+    "strong_pair_fail.shares.json": [
+        "secret-share", "strong-pair", "--basis-file", "weak.basis.json", "--i", "0", "--j", "1"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -358,3 +377,24 @@ def test_scan_output_file(capsys, tmp_path):
     text = target.read_text()
     assert text.startswith("# scan.v1 columns:")
     assert len(text.strip().split("\n")) == 7
+
+
+@pytest.mark.filterwarnings("ignore:encoding basis is distinguishable:UserWarning")
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_report_and_shares_reproduce_golden_bytes(capsys, monkeypatch, name):
+    monkeypatch.chdir(DATA)
+    code, out = run_cli(capsys, *GOLDEN_OUTPUTS[name])
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_golden_inputs_cover_the_verdicts_they_pin():
+    docs = {name: json.loads((DATA / name).read_text(encoding="utf-8"))
+            for name in GOLDEN_OUTPUTS}
+    elimination = docs["analyze_elimination.report.json"]
+    assert elimination["locc_category"]["kind"] == "two_copy_elimination"
+    assert elimination["assumptions"] != []
+    assert docs["encode_three_copy.shares.json"]["security_warning"] is None
+    assert docs["encode_weak.shares.json"]["security_warning"] is not None
+    assert docs["strong_pair_pass.shares.json"]["security"] == "PASS"
+    assert docs["strong_pair_fail.shares.json"]["security"] == "FAIL"

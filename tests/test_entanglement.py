@@ -7,6 +7,7 @@ from qlocc import (
     BipartiteKet,
     FamilyParams,
     a_basis,
+    basis_from_json,
     concurrence,
     hermitian_eigenvalues,
     pair_projector,
@@ -17,7 +18,10 @@ from qlocc import (
     separability_certificate,
     theta_basis,
 )
-from conftest import haar_unitary, random_ket, spin_flip_concurrence
+from qlocc.classify import PAIRS
+from qlocc.entanglement import PSD_ATOL, pair_projectors, separability_certificates
+from conftest import (_ref_separability_certificate, bench_workloads, haar_unitary, random_ket,
+                      spin_flip_concurrence)
 
 PI_4 = math.pi / 4
 
@@ -178,6 +182,54 @@ def test_certificate_invariant_under_local_unitaries(rng):
         local = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
         rotated = local @ p @ local.conj().T
         assert separability_certificate(rotated).is_separable == verdict
+
+
+def _gate_operators():
+    """The pair and complement projectors of two bases of each kind the
+    benchmark sends, then Hermitian operators whose lowest eigenvalue sits
+    at 0.5x and 2x of -PSD_ATOL (PSD within tolerance, then not)."""
+    workloads = bench_workloads()
+    rng = np.random.default_rng(20261020)
+    ops = []
+    for kind in dict.fromkeys(workloads.BASIS_KINDS):
+        for _ in range(2):
+            b = basis_from_json(workloads.basis_json(workloads.random_basis(kind, rng), kind))
+            p = pair_projectors(b.matrix(), PAIRS)
+            ops += [*p, *(np.eye(4) - p)]
+    for scale in (0.5, 2.0, 0.5, 2.0):
+        u = haar_unitary(rng)
+        w = np.array([-scale * PSD_ATOL, *rng.uniform(0.0, 1.0, 3)])
+        ops.append((u * w) @ u.conj().T)
+    return ops
+
+
+def _bits(c):
+    return c.min_pt_eigenvalue.hex(), type(c.is_separable), c.is_separable, c.tolerance
+
+
+def _raises(f, *args):
+    try:
+        return False, f(*args)
+    except ValueError:
+        return True, None
+
+
+def test_certificates_equal_the_reference_bit_for_bit():
+    ops = _gate_operators()
+    outcomes = [_raises(_ref_separability_certificate, m) for m in ops]
+    assert [r for r, _ in outcomes].count(True) == 2
+    for m, (ref_raised, ref) in zip(ops, outcomes):
+        raised, one = _raises(separability_certificate, m)
+        assert raised == ref_raised
+        assert _raises(separability_certificates, m[None])[0] == ref_raised
+        if not ref_raised:
+            assert _bits(one) == _bits(ref)
+    passing = [m for m, (r, _) in zip(ops, outcomes) if not r]
+    assert [_bits(c) for c in separability_certificates(passing)] == [
+        _bits(ref) for r, ref in outcomes if not r]
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        separability_certificates(ops)
+    assert separability_certificates(np.empty((0, 4, 4), dtype=complex)) == []
 
 
 # --- closed-form spectra ----------------------------------------------------------

@@ -318,6 +318,15 @@ def test_single_basis_kernel_makes_one_solve_of_six(rng, monkeypatch):
     assert counts == [len(PAIRS)]
 
 
+def test_kernel_decides_an_empty_stack():
+    d = decide(np.empty((0, 4, 4), dtype=complex))
+    shapes = {f.name: getattr(d, f.name).shape for f in fields(Decisions)}
+    assert shapes == {
+        "concurrences": (0, 4), "min_pt": (0, 6), "entangled_count": (0,), "locc_kind": (0,),
+        "eliminated": (0,), "split": (0,), "sep_kind": (0,), "sep_eliminated": (0,),
+        "duan_residual": (0, 4), "duan_tried": (0, 4)}
+
+
 def _scan_bytes(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -91,6 +91,14 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(m)
 
 
+def test_hermitian_eigenvalues_of_an_empty_stack_and_of_a_nan_entry():
+    assert hermitian_eigenvalues(np.empty((0, 4, 4), dtype=complex)).shape == (0, 4)
+    m = np.array([np.eye(4), np.eye(4)], dtype=complex)
+    m[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(m)
+
+
 def test_eigenvalue_sum_equals_trace(rng):
     for _ in range(30):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -189,3 +189,34 @@ def test_strong_pair_one_solve_equals_six_separate_solves_on_bench_bases():
                 assert strong_pair_to_json(out) == strong_pair_to_json(
                     _strong_pair_six_solves(b, i, j, lam, mu))
                 assert type(out.certificate_pair.is_separable) is bool
+
+
+def _diag(*values):
+    return np.diag(values).astype(complex)
+
+
+def _skewed(m):
+    m = m.copy()
+    m[0, 1] = 0.4  # not Hermitian; the trace is unchanged
+    return m
+
+
+HALF_LOW, HALF_HIGH = _diag(0.5, 0.5, 0, 0), _diag(0, 0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("sigma, sigma_perp, message", [
+    (_diag(0.6, 0.6, 0, 0), _skewed(HALF_HIGH), "sigma is not trace 1"),
+    (_diag(0.9, -0.2, 0, 0), HALF_HIGH, "sigma is not trace 1"),
+    (_skewed(HALF_LOW), _diag(0, 0, 0.6, 0.6), "matrix is not Hermitian"),
+    (_diag(1.2, -0.2, 0, 0), _diag(0, 0, 0.6, 0.6), "sigma is not positive semidefinite"),
+    (HALF_LOW, _diag(0.6, 0, 0, 0.6), "sigma_perp is not trace 1"),
+    (HALF_LOW, _skewed(_diag(0, 0, 0.6, 0.6)), "sigma_perp is not trace 1"),
+    (HALF_LOW, _diag(0.6, 0, 0.6, -0.2), "sigma_perp is not positive semidefinite"),
+    (HALF_LOW, _diag(0.5, 0, 0.5, 0), "supports are not orthogonal"),
+])
+def test_mixed_share_reports_the_first_failing_check(sigma, sigma_perp, message):
+    # trace, then PSD, of sigma and then of sigma_perp, then orthogonality:
+    # each input but the last fails two checks
+    with pytest.raises(ValueError) as err:
+        MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=0.5, mu=0.5)
+    assert str(err.value) == message
