@@ -5,7 +5,9 @@ decoding error is a ValueError naming the JSON path of the offending value,
 e.g. ``states[0][2]: expected [re, im]``.
 """
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -14,14 +16,143 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _NUMBER = (int, float)
 
 
-def dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+def dump(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, where a complex ndarray
+    may stand for the nested [re, im] lists of its entries.
+
+    One pass collects the document's leaves and its layout: its keys, list
+    lengths and literals.  Each layout's ``%`` template is built once, and
+    filled with the leaves: escaped strings, and the ints and finite floats
+    themselves, which ``%s`` writes as json does.  A document json rejects
+    raises the same exception type, except that one which contains itself
+    raises RecursionError.
+    """
+    layout: list = []
+    leaves: list = []
+    _entries((doc,), layout, leaves)
+    return _template(tuple(layout)) % tuple(leaves)
 
 
-def complex_pairs(a) -> list:
-    """[re, im] float pairs, nested like the complex array ``a``."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    return a.view(float).reshape(*a.shape, 2).tolist()
+# layout tokens: n >= 0 opens a list of n entries, a tuple of keys a dict, a
+# (None, shape) pair a complex array; the rest are these
+_LEAF, _TRUE, _FALSE, _NULL = -1, -2, -3, -4
+_LITERALS = {_LEAF: "%s", _TRUE: "true", _FALSE: "false", _NULL: "null"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _entries(values, layout: list, leaves: list) -> None:
+    """Append the layout tokens and leaves of each value, exact types first."""
+    for v in values:
+        t = type(v)
+        if t is float:
+            layout.append(_LEAF)
+            leaves.append(_float(v) if v - v else v)  # x - x is 0.0 for finite x only
+        elif t is str:
+            layout.append(_LEAF)
+            leaves.append(_escape(v))
+        elif t is int:
+            layout.append(_LEAF)
+            leaves.append(v)
+        elif t is bool:
+            layout.append(_TRUE if v else _FALSE)
+        elif v is None:
+            layout.append(_NULL)
+        elif t is dict:
+            layout.append(_keys(v))
+            _entries(v.values(), layout, leaves)
+        elif t is list or t is tuple:
+            layout.append(len(v))
+            _entries(v, layout, leaves)
+        else:
+            _other(v, layout, leaves)
+
+
+def _other(o, layout: list, leaves: list) -> None:
+    """`_entries` for a subclass, a complex array or an error, in json's
+    order of checks."""
+    if isinstance(o, str):
+        layout.append(_LEAF)
+        leaves.append(_escape(o))
+    elif isinstance(o, int):
+        layout.append(_LEAF)
+        leaves.append(int.__repr__(o))
+    elif isinstance(o, float):
+        layout.append(_LEAF)
+        leaves.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        layout.append(len(o))
+        _entries(o, layout, leaves)
+    elif isinstance(o, dict):
+        layout.append(_keys(o))
+        _entries(o.values(), layout, leaves)
+    elif type(o) is np.ndarray and o.dtype == complex:
+        layout.append((None, o.shape))
+        values = o.ravel().view(float).tolist()
+        # a sum of finite floats is finite unless it overflows
+        leaves += values if math.isfinite(sum(values)) else map(_float, values)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float(x) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _keys(d: dict) -> tuple:
+    """The keys of ``d`` as strings, converted as json converts them."""
+    try:
+        "".join(d)
+    except TypeError:
+        return tuple(map(_key, d))
+    return tuple(d)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return json.dumps(k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+@functools.lru_cache(maxsize=128)
+def _template(layout: tuple) -> str:
+    tokens = iter(layout)
+    return _fill(next(tokens), tokens, "\n")
+
+
+def _fill(token, tokens, newline: str) -> str:
+    """The template of the value that ``token`` starts, taking the tokens of
+    its entries from ``tokens``; ``newline`` ends its own line."""
+    inner = newline + "  "
+    if type(token) is tuple:
+        if token and token[0] is None:
+            return _array(token[1], newline)
+        return _block("{", [f"{_escape(k).replace('%', '%%')}: {_fill(next(tokens), tokens, inner)}"
+                            for k in token], "}", newline)
+    if token >= 0:
+        return _block("[", [_fill(next(tokens), tokens, inner) for _ in range(token)], "]", newline)
+    return _LITERALS[token]
+
+
+def _array(shape: tuple, newline: str) -> str:
+    """The template of nested lists of ``shape`` holding [re, im] pairs."""
+    if not shape:
+        return _block("[", ["%s", "%s"], "]", newline)
+    return _block("[", [_array(shape[1:], newline + "  ")] * shape[0], "]", newline)
+
+
+def _block(open_: str, entries: list, close: str, newline: str) -> str:
+    if not entries:
+        return open_ + close
+    inner = newline + "  "
+    return open_ + inner + ("," + inner).join(entries) + newline + close
 
 
 def load(text: str, schema: str, kind: str | None = None) -> dict:

@@ -66,9 +66,11 @@ def outer(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+@np.errstate(over="ignore")
 def vector_norms(v) -> np.ndarray:
     """np.linalg.norm of each complex vector along the last axis, bit for bit:
-    the dot products of its real and of its imaginary parts, summed."""
+    the dot products of its real and of its imaginary parts, summed.  An
+    amplitude of 2**512 or more overflows them to inf without a warning."""
     v = np.asarray(v, dtype=complex)
     re, im = v.real[..., None, :], v.imag[..., None, :]
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])

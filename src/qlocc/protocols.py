@@ -558,7 +558,7 @@ def _node_to_dict(node: Node) -> dict:
         "kind": "measure",
         "copy": node.copy_index,
         "party": node.measurement.party,
-        "basis": codec.complex_pairs(node.measurement.basis),
+        "basis": np.asarray(node.measurement.basis, dtype=complex),
         "children": [_node_to_dict(c) for c in node.children],
     }
 

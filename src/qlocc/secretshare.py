@@ -158,7 +158,7 @@ def share_set_to_json(s: ShareSet, b: OrthonormalBasis) -> str:
         "kind": "share_set",
         "message": s.message,
         "party_assignment": list(s.party_assignment),
-        "copies": codec.complex_pairs([k.amplitudes for k in s.copies]),
+        "copies": np.array([k.amplitudes for k in s.copies]),
         "basis": basis_to_dict(b),
         "security_warning": s.security_warning,
     }
@@ -185,8 +185,8 @@ def strong_pair_to_json(s: StrongPairShares) -> str:
         "complement": list(s.complement),
         "lambda": s.share.lam,
         "mu": s.share.mu,
-        "sigma": codec.complex_pairs(s.share.sigma),
-        "sigma_perp": codec.complex_pairs(s.share.sigma_perp),
+        "sigma": s.share.sigma,
+        "sigma_perp": s.share.sigma_perp,
         "certificates": {
             "pair_projector": certificate_to_dict(s.certificate_pair),
             "complement_projector": certificate_to_dict(s.certificate_complement),

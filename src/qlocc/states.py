@@ -307,7 +307,7 @@ def coefficient_matrix(k: BipartiteKet) -> np.ndarray:
 # --- basis.v1 serialization -------------------------------------------------
 
 def basis_to_dict(b: OrthonormalBasis) -> dict:
-    return {"schema": "basis.v1", "label": b.label, "states": codec.complex_pairs(b.matrix())}
+    return {"schema": "basis.v1", "label": b.label, "states": b.matrix()}
 
 
 def basis_from_dict(doc, path: str = "") -> OrthonormalBasis:

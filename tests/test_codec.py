@@ -6,11 +6,13 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qlocc import (
     FamilyParams,
@@ -18,6 +20,7 @@ from qlocc import (
     a_basis,
     basis_from_json,
     basis_to_json,
+    codec,
     protocol_from_json,
     protocol_to_json,
     walgate_pair_protocol,
@@ -128,6 +131,27 @@ def test_decode_accepts_basis_within_gram_tolerance(tmp_path):
 
 def test_protocol_at_the_depth_limit_decodes():
     assert protocol_from_json(_eliminate_chain(MAX_PROTOCOL_DEPTH)).copies == 1
+
+
+HUGE = 1.3407807929942597e+154  # 2**512, whose square overflows to inf
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("analyze", _with(BASIS_DOC, ("states", 0, 0), [HUGE, 0.0])),
+    ("decode", _with(SHARES_DOC, ("basis", "states", 0, 1), [0, HUGE])),
+], ids=["basis", "shares"])
+def test_overflowing_amplitude_exits_2_without_warning(tmp_path, command, doc):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    if command == "analyze":
+        argv = ["analyze", "--basis-file", str(f)]
+    else:
+        argv = ["secret-share", "decode", "--shares-file", str(f)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run(argv)
+    assert code == 2
+    assert err.endswith("ket norm inf is not 1\n")
 
 
 # --- the loader against the one it replaced -------------------------------------
@@ -255,3 +279,53 @@ def test_fuzz_protocol_raises_only_value_error(text):
         protocol_from_json(text)
     except ValueError:
         pass
+
+
+# --- the writer against json.dumps -----------------------------------------------
+
+WRITER_TEXT = st.text(st.sampled_from('"\\%/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+                      | st.characters(exclude_categories=()), max_size=6)
+WRITER_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64, max_value=10 ** 400)
+    | WRITER_FLOATS | WRITER_FLOATS.map(np.float64) | WRITER_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(WRITER_TEXT | st.integers() | WRITER_FLOATS | st.booleans() | st.none(),
+                      inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=WRITER_VALUES)
+def test_dump_equals_json_dumps(doc):
+    assert codec.dump(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=hnp.arrays(complex, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+       transpose=st.booleans())
+def test_dump_writes_complex_array_as_re_im_lists(a, transpose):
+    a = a.T if transpose else a
+    pairs = np.stack([a.real, a.imag], axis=-1).tolist()
+    assert codec.dump({"x": [a, 1], "y": a}) == json.dumps({"x": [pairs, 1], "y": pairs}, indent=2)
+
+
+def _nested(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    object(), {"a": {1, 2}}, [b"x"], {(1,): 2}, np.int64(1), np.float32(1.0), [1j],
+    np.zeros(2), np.zeros(2, np.complex64), _nested(100_000),
+], ids=["object", "set", "bytes", "tuple-key", "int64", "float32", "complex", "real-array",
+        "complex64-array", "too-deep"])
+def test_dump_raises_as_json_does(doc):
+    with pytest.raises(Exception) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(expected.type):
+        codec.dump(doc)
