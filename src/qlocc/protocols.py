@@ -32,6 +32,7 @@ from .linalg import as_complex_vector, cmul, libm, vector_norms
 from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
 
 ORTHILITY_ATOL = 1e-10
+ORTHONORMAL_ATOL = 1e-10  # a measurement basis's Gram matrix may miss the identity by this
 VANISH_TOL = 1e-9  # conditional branch weight below which a state never lands there
 MAX_PROTOCOL_DEPTH = 64  # protocol.v1 nesting limit; the tournament is 9 deep
 _SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # gamma, m1, m2
@@ -69,9 +70,9 @@ class LocalMeasurement:
                 raise ValueError("vector contains NaN or Inf")
             raise ValueError("measurement basis is not orthonormal")
         ac, bc = a.conjugate(), b.conjugate()
-        if not (abs(ac * a + bc * b - 1.0) <= 1e-10
-                and abs(c.conjugate() * c + d.conjugate() * d - 1.0) <= 1e-10
-                and abs(ac * c + bc * d) <= 1e-10):
+        if not (abs(ac * a + bc * b - 1.0) <= ORTHONORMAL_ATOL
+                and abs(c.conjugate() * c + d.conjugate() * d - 1.0) <= ORTHONORMAL_ATOL
+                and abs(ac * c + bc * d) <= ORTHONORMAL_ATOL):
             raise ValueError("measurement basis is not orthonormal")
         v.setflags(write=False)
         object.__setattr__(self, "basis", (v[0], v[1]))
@@ -138,6 +139,12 @@ class LeafTable:
         """Leaf probabilities, shape (..., L), for input kets of shape (..., 4)."""
         amp = np.tensordot(kets, self.effects, axes=(-1, -1))  # (..., L, C, 4)
         return (np.abs(amp) ** 2).sum(axis=-1).prod(axis=-1)
+
+    def outcome_distribution(self, initial: np.ndarray) -> np.ndarray:
+        """Probability of concluding each index when every copy starts in
+        ``initial`` (a normalized 4-vector); exact Born-rule evaluation."""
+        p = self.probabilities(as_complex_vector(initial, 4))
+        return np.bincount(self.conclusions, weights=p, minlength=4)
 
     def basis_probabilities(self, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`probabilities` of a basis's (4, 4) kets and their running sums over
@@ -362,13 +369,28 @@ def _template(shape, copies: int, swap: bytes) -> tuple:
     return conclusions, transcripts, index
 
 
+def _gathered(shape, copies: int, bases: np.ndarray, swap: np.ndarray) -> LeafTable:
+    """The leaf table of the tree ``shape`` wires from the stack ``bases``
+    (M, 2, 2) and the swap bits, gathered from the template of its swap
+    pattern without wiring the tree."""
+    return _table(*_template(shape, copies, swap.tobytes()), bases)
+
+
 def _built(shape, copies: int, bases: np.ndarray, swap: np.ndarray) -> ProtocolTree:
-    """The tree ``shape`` wires from the stack ``bases`` (M, 2, 2) and the swap
-    bits, its leaf table gathered from the template of its swap pattern (stored
-    where `ProtocolTree.leaves` caches a compiled one)."""
+    """The tree ``shape`` wires from the stack ``bases`` and the swap bits, its
+    `_gathered` leaf table stored where `ProtocolTree.leaves` caches a
+    compiled one."""
     tree = ProtocolTree(copies, shape(lambda party, n: LocalMeasurement(party, bases[n]), swap))
-    tree.__dict__["leaves"] = _table(*_template(shape, copies, swap.tobytes()), bases)
+    tree.__dict__["leaves"] = _gathered(shape, copies, bases, swap)
     return tree
+
+
+def _check_orthonormal(bases: np.ndarray) -> None:
+    """`LocalMeasurement`'s orthonormality check on every basis of a stack
+    (M, 2, 2) at once; written so NaN fails."""
+    gram = bases.conj() @ bases.swapaxes(-1, -2)
+    if not (np.abs(gram - np.eye(2)) <= ORTHONORMAL_ATOL).all():
+        raise ValueError("measurement basis is not orthonormal")
 
 
 def _solved(kets: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -421,6 +443,15 @@ def elimination_tournament(b: OrthonormalBasis, copies: int = 3) -> ProtocolTree
     return _built(_tournament_shape, copies, *_solved(b.matrix(), _KNOCKOUT))
 
 
+def tournament_leaves(b: OrthonormalBasis) -> LeafTable:
+    """The leaf table of `elimination_tournament(b)`, bit for bit, without its
+    node tree.  Its 18 measurement bases pass `LocalMeasurement`'s check as
+    one stack; raises ValueError where a tree's measurement would."""
+    bases, swap = _solved(b.matrix(), _KNOCKOUT)
+    _check_orthonormal(bases)
+    return _gathered(_tournament_shape, 3, bases, swap)
+
+
 _GROUPS = ((0, 1), (2, 3))  # selected by matching and by opposite outcomes
 _Z = 3 * len(_GROUPS)  # stack position of the computational basis, Alice's; Bob's follows
 
@@ -451,11 +482,8 @@ def bell_grouping_protocol(theta: float) -> ProtocolTree:
 # --- execution ----------------------------------------------------------------
 
 def outcome_distribution(t: ProtocolTree, initial: np.ndarray) -> np.ndarray:
-    """Probability of concluding each index when every copy starts in
-    ``initial`` (a normalized 4-vector); exact Born-rule evaluation."""
-    table = t.leaves
-    p = table.probabilities(as_complex_vector(initial, 4))
-    return np.bincount(table.conclusions, weights=p, minlength=4)
+    """`LeafTable.outcome_distribution` of the tree's leaf table."""
+    return t.leaves.outcome_distribution(initial)
 
 
 def success_probabilities(t: ProtocolTree, b: OrthonormalBasis) -> np.ndarray:

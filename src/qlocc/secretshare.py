@@ -24,14 +24,16 @@ from . import codec
 from .classify import min_copies_adaptive_locc
 from .entanglement import (SeparabilityCertificate, certificate_to_dict, pair_projectors,
                            separability_certificates)
-# not called here; bench/tracing.py wraps them by name
-from .entanglement import pair_projector, separability_certificate  # noqa: F401
 from .linalg import hermitian_eigenvalues, outer
-from .protocols import elimination_tournament, outcome_distribution
+from .protocols import tournament_leaves
 from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
                      complement_pair, kets_from_vectors)
+# not called here; bench/tracing.py wraps them by name
+from .entanglement import pair_projector, separability_certificate  # noqa: F401
+from .protocols import elimination_tournament, outcome_distribution  # noqa: F401
 
 PARTY_ASSIGNMENT = ("A1", "B1", "A2", "B2", "A3", "B3")
+DECODE_TOL = 1e-9  # a decode concludes with probability at least 1 - DECODE_TOL
 
 WEAK_BASIS_WARNING = (
     "encoding basis is distinguishable from two copies under adaptive LOCC; "
@@ -40,7 +42,7 @@ WEAK_BASIS_WARNING = (
 
 
 class IntegrityError(ValueError):
-    """The three distributed copies are not identical."""
+    """The three distributed copies are not identical, or not a basis state."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,13 @@ class ShareSet:
     copies: tuple[BipartiteKet, BipartiteKet, BipartiteKet]
     party_assignment: tuple[str, ...] = PARTY_ASSIGNMENT
     security_warning: str | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.message <= 3:
+            raise ValueError(f"message must be in 0..3, got {self.message}")
+        if len(self.party_assignment) != 6 or len(set(self.party_assignment)) != 6:
+            raise ValueError(f"party_assignment must be six distinct labels, "
+                             f"got {list(self.party_assignment)}")
 
 
 @dataclass(frozen=True)
@@ -107,14 +116,19 @@ def encode_2bit(message: int, b: OrthonormalBasis) -> ShareSet:
 
 def decode_full_collaboration(s: ShareSet, b: OrthonormalBasis) -> int:
     """Recover the message by running the three-copy knockout tournament
-    across the A|B cut; exact (probability-1) on intact share sets."""
+    across the A|B cut; exact (probability-1) on intact share sets.  Raises
+    IntegrityError when the copies differ, or when no conclusion is certain
+    because they are not a state of ``b``."""
     ref = s.copies[0].amplitudes
     for n, copy in enumerate(s.copies[1:], start=1):
         if np.max(np.abs(copy.amplitudes - ref)) > 1e-12:
             raise IntegrityError(f"copy {n} differs from copy 0")
-    tree = elimination_tournament(b, copies=3)
-    dist = outcome_distribution(tree, ref)
-    return int(np.argmax(dist))
+    dist = tournament_leaves(b).outcome_distribution(ref)
+    decoded = int(np.argmax(dist))
+    if not dist[decoded] >= 1.0 - DECODE_TOL:
+        raise IntegrityError(f"the copies are not a basis state: the tournament concludes "
+                             f"{decoded} with probability {dist[decoded]:.6g}")
+    return decoded
 
 
 def strong_pair_shares(

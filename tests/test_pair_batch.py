@@ -1,7 +1,8 @@
 """The batched pair subroutine (`qlocc.protocols._walgate_bases`) against the
 scalar path it replaced (`conftest.reference_pair_protocol`,
-`conftest.reference_tournament`), and `simulate`'s outputs against bytes
-written by that path."""
+`conftest.reference_tournament`), `simulate`'s outputs against bytes
+written by that path, and the tree-free `tournament_leaves` that decode
+reads against the built tournament."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ import pytest
 from qlocc import (
     BipartiteKet,
     FamilyParams,
+    LocalMeasurement,
     a_basis,
     bell_grouping_protocol,
     elimination_tournament,
@@ -24,8 +26,11 @@ from qlocc import (
     validate_basis,
     walgate_pair_protocol,
 )
+from qlocc import protocols
 from qlocc.cli import main
-from qlocc.protocols import _KNOCKOUT, VANISH_TOL, _compile, _walgate_bases
+from qlocc.protocols import (_KNOCKOUT, VANISH_TOL, _compile, _solved, _walgate_bases,
+                             outcome_distribution, tournament_leaves)
+from qlocc.secretshare import ShareSet, decode_full_collaboration
 from conftest import (
     born_rule_leaves,
     conditional_bob_states,
@@ -153,3 +158,74 @@ def test_built_leaf_tables_equal_the_walk_bit_for_bit(rng):
         assert table.transcripts == walked.transcripts
         assert table.effects.shape == walked.effects.shape
         assert table.effects.tobytes() == walked.effects.tobytes()
+
+
+def test_tournament_leaves_equal_the_built_tree_bit_for_bit(rng):
+    # the table is gathered without wiring the tree, so its template must be
+    # the one the tree's swap pattern picks; decode must conclude what the
+    # tree's exact distribution concludes
+    inputs = protocol_inputs(rng)
+    patterns = set()
+    for n, b in enumerate(inputs):
+        table, tree = tournament_leaves(b), elimination_tournament(b)
+        built = tree.leaves
+        assert table.conclusions.tobytes() == built.conclusions.tobytes()
+        assert table.transcripts == built.transcripts
+        assert table.effects.tobytes() == built.effects.tobytes()
+        patterns.add(_solved(b.matrix(), _KNOCKOUT)[1].tobytes())
+        if n % 4 == 0:
+            for m in range(4):
+                expected = int(np.argmax(outcome_distribution(tree, b[m].amplitudes)))
+                assert decode_full_collaboration(ShareSet(m, (b[m],) * 3), b) == expected == m
+    assert len(patterns) >= 20
+
+
+def test_decode_builds_no_measurement_node(monkeypatch):
+    built = []
+
+    def counted(party, basis):
+        built.append(party)
+        return LocalMeasurement(party, basis)
+
+    monkeypatch.setattr(protocols, "LocalMeasurement", counted)
+    b = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
+    for m in range(4):
+        assert decode_full_collaboration(ShareSet(m, (b[m],) * 3), b) == m
+    assert built == []
+    elimination_tournament(b)
+    assert len(built) == 18  # the counter sees the tree path's measurements
+
+
+def _corrupted(position, row, factor, shift=0.0):
+    """`_solved` with row ``row`` of stack entry ``position`` scaled by
+    ``factor`` and moved by ``shift`` along the entry's other row."""
+    def solved(kets, pairs):
+        bases, swap = _solved(kets, pairs)
+        bases = bases.copy()
+        bases[position, row] = factor * bases[position, row] + shift * bases[position, 1 - row]
+        return bases, swap
+    return solved
+
+
+@pytest.mark.parametrize("position", [0, 7, 17])
+@pytest.mark.parametrize("factor,shift,passes", [
+    (1 + 4e-11, 0.0, True), (1 + 6e-11, 0.0, False),
+    (1.0, 4e-11, True), (1.0, 2e-10, False),
+])
+def test_stacked_check_keeps_the_measurement_check(monkeypatch, position, factor, shift, passes):
+    # the same tolerance, on either side of it, as each tree node's check
+    monkeypatch.setattr(protocols, "_solved", _corrupted(position, position % 2, factor, shift))
+    b = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
+    for build in (tournament_leaves, elimination_tournament):
+        if passes:
+            build(b)
+        else:
+            with pytest.raises(ValueError, match="^measurement basis is not orthonormal$"):
+                build(b)
+
+
+def test_stacked_check_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(protocols, "_solved", _corrupted(5, 1, float("nan")))
+    b = a_basis(FamilyParams(alpha=0.3, beta=0.9, gamma=math.pi / 4))
+    with pytest.raises(ValueError, match="^measurement basis is not orthonormal$"):
+        tournament_leaves(b)

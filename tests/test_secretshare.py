@@ -1,9 +1,15 @@
+import contextlib
+import io
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qlocc import (
+    BipartiteKet,
     FamilyParams,
     basis_from_json,
     IntegrityError,
@@ -13,7 +19,9 @@ from qlocc import (
     hermitian_eigenvalues,
     strong_pair_shares,
     theta_basis,
+    validate_basis,
 )
+from qlocc.cli import main
 from qlocc.entanglement import pair_projector, separability_certificate
 from qlocc.linalg import outer
 from qlocc.secretshare import (
@@ -220,3 +228,63 @@ def test_mixed_share_reports_the_first_failing_check(sigma, sigma_perp, message)
     with pytest.raises(ValueError) as err:
         MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=0.5, mu=0.5)
     assert str(err.value) == message
+
+
+# --- the share-set boundary -----------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _decode_file(tmp_path, doc):
+    f = tmp_path / "shares.json"
+    f.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["secret-share", "decode", "--shares-file", str(f)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _computational_basis():
+    return validate_basis([BipartiteKet(v) for v in np.eye(4)], label="computational")
+
+
+@pytest.mark.parametrize("entry,value,message", [
+    ("message", 7, "message must be in 0..3, got 7"),
+    ("message", -1, "message must be in 0..3, got -1"),
+    ("party_assignment", ["A1"], "party_assignment must be six distinct labels, got ['A1']"),
+    ("party_assignment", ["A1", "B1", "A2", "B2", "A3", "A1"],
+     "party_assignment must be six distinct labels, got ['A1', 'B1', 'A2', 'B2', 'A3', 'A1']"),
+])
+def test_share_set_outside_its_contract_exits_2(tmp_path, entry, value, message):
+    doc = json.loads((DATA / "encode_three_copy.shares.json").read_text(encoding="utf-8"))
+    doc[entry] = value
+    assert _decode_file(tmp_path, doc) == (2, "", f"error: {message}\n")
+    fields = {"message": 0, "copies": (strong_basis()[0],) * 3}
+    fields[entry] = tuple(value) if entry == "party_assignment" else value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ShareSet(**fields)
+
+
+def test_copies_that_are_no_basis_state_exit_2(tmp_path):
+    # the knockout concludes 3 with probability 0.525312 on 0.6|00> + 0.8|01>
+    b = _computational_basis()
+    s = ShareSet(0, (BipartiteKet(np.array([0.6, 0.8, 0.0, 0.0])),) * 3)
+    with pytest.raises(IntegrityError, match="not a basis state"):
+        decode_full_collaboration(s, b)
+    code, out, err = _decode_file(tmp_path, json.loads(share_set_to_json(s, b)))
+    assert (code, out) == (2, "")
+    assert err == ("error: the copies are not a basis state: the tournament concludes 3 "
+                   "with probability 0.525312\n")
+
+
+def test_basis_state_copies_still_decode_in_the_computational_basis():
+    b = _computational_basis()
+    for m in range(4):
+        assert decode_full_collaboration(ShareSet(m, (b[m],) * 3), b) == m
+
+
+@pytest.mark.parametrize("name", ["encode_three_copy.shares.json", "encode_weak.shares.json"])
+def test_golden_share_sets_decode_to_their_message(tmp_path, name):
+    code, out, err = _decode_file(tmp_path, json.loads((DATA / name).read_text(encoding="utf-8")))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matches_encoded"] is True
