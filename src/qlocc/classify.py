@@ -481,26 +481,26 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
 
 # --- report.v1 serialization -------------------------------------------------
 
+def _route_to_dict(route: LoccCategory | SepWitness) -> dict:
+    """A LOCC category or SEP witness: its kind, then eliminated_index and pair where set."""
+    doc: dict = {"kind": route.kind}
+    if route.eliminated is not None:
+        doc["eliminated_index"] = route.eliminated
+    if route.pair is not None:
+        doc["pair"] = list(route.pair)
+    return doc
+
+
 def report_to_dict(r: ClassificationReport) -> dict:
-    cat: dict = {"kind": r.locc_category.kind}
-    if r.locc_category.eliminated is not None:
-        cat["eliminated_index"] = r.locc_category.eliminated
-    if r.locc_category.pair is not None:
-        cat["pair"] = list(r.locc_category.pair)
-    wit: dict = {"kind": r.sep_witness.kind}
-    if r.sep_witness.eliminated is not None:
-        wit["eliminated_index"] = r.sep_witness.eliminated
-    if r.sep_witness.pair is not None:
-        wit["pair"] = list(r.sep_witness.pair)
-    doc = {
+    return {
         "schema": "report.v1",
         "label": r.label,
         "concurrences": list(r.concurrences),
         "entangled_count": r.entangled_count,
-        "locc_category": cat,
+        "locc_category": _route_to_dict(r.locc_category),
         "min_copies_locc": r.min_copies_locc,
         "min_copies_sep": r.min_copies_sep,
-        "sep_witness": wit,
+        "sep_witness": _route_to_dict(r.sep_witness),
         "region": None if r.region is None else
             {"name": r.region.name, "which": r.region.which},
         "certificates": [
@@ -514,7 +514,6 @@ def report_to_dict(r: ClassificationReport) -> dict:
         "assumptions": list(r.assumptions),
         "boundary_warnings": list(r.boundary_warnings),
     }
-    return doc
 
 
 def report_to_json(r: ClassificationReport) -> str:

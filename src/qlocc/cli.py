@@ -12,7 +12,9 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
+import warnings
 from collections.abc import Iterator
 
 import numpy as np
@@ -40,6 +42,7 @@ from .protocols import (
     sample_runs,
 )
 from .secretshare import (
+    WEAK_BASIS_WARNING,
     decode_full_collaboration,
     encode_2bit,
     share_set_from_json,
@@ -62,8 +65,8 @@ KERNEL_COLUMNS = frozenset(
     ["c1", "c2", "c3", "c4", "entangled_count", "min_copies_locc", "min_copies_sep"]
     + [f"min_pt_{i}{j}" for i, j in PAIRS])
 # scan's region column: REGIONS by index, then index -1 for alpha or beta at 0 or pi/2
-REGION_LABELS = tuple(r.name if r.which is None else f"{r.name}:{r.which}"
-                      for r in REGIONS) + ("degenerate",)
+REGION_LABELS = np.array([r.name if r.which is None else f"{r.name}:{r.which}"
+                          for r in REGIONS] + ["degenerate"], dtype=object)
 
 
 _fmt = "%.12g".__mod__  # a float with 12 significant digits, as f"{x:.12g}"
@@ -152,53 +155,44 @@ def _scan_blocks(family: str, axes: dict[str, list[float]],
                  columns: tuple[str, ...]) -> Iterator[str]:
     """The scan's CSV rows (alpha-major) in text chunks of BLOCK_SIZE grid
     points: each block's kets are built, decided, labelled and formatted
-    before the next is touched, so memory stays flat in grid size.  Only the
-    per-axis labels and the per-(alpha, beta) closed-form spectra live for
-    the whole scan.  Only the selected columns are formatted, and the kernel
-    runs only when one of them reads it; columns that do not apply to the
-    family stay empty.  A kernel float column is formatted once per run of
-    equal values (c1 repeats over beta x gamma, c2 and min_pt_01 over
-    gamma), and the count columns gather their labels from a table."""
+    before the next is touched, so memory stays flat in grid size.  Both
+    families are grids (theta's has one axis) gathered by grid index; only
+    the axis labels and family A's per-(alpha, beta) spectra live for the
+    whole scan.  Only the selected columns are formatted, and the kernel
+    runs only when one of them reads it; other families' columns stay empty.
+    A kernel float column is formatted once per run of equal values (c1
+    repeats over beta x gamma, c2 and min_pt_01 over gamma)."""
     wanted = set(columns)
     kernel = not wanted.isdisjoint(KERNEL_COLUMNS)
+    shape = tuple(map(len, axes.values()))
+    labels = {name: _labels(axis) for name, axis in axes.items() if name in wanted}
     if family == "A":
-        al, be, ga = axes["alpha"], axes["beta"], axes["gamma"]
-        shape = (len(al), len(be), len(ga))
+        al, be, ga = axes.values()
         ket_axes, region_ax = family_a_axes(al, be, ga), region_axes(al, be, ga)
-        labels = {name: _labels(axis) for name, axis in zip(("alpha", "beta", "gamma"),
-                                                            (al, be, ga)) if name in wanted}
-        regions = np.array(REGION_LABELS, dtype=object)
         spectra = {f"e{k + 1}_p12": k for k in range(4) if f"e{k + 1}_p12" in wanted}
         if spectra:  # labelled once per (alpha, beta)
             values = np.array([pt_spectrum_p12_closed(a, b) for a in al for b in be])
             spectra = {name: _labels(values[:, k].tolist()) for name, k in spectra.items()}
     else:
-        shape = (len(axes["theta"]),)
+        thetas = np.array(axes["theta"])
     n = math.prod(shape)
     for start in range(0, n, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, n)
-        size = stop - start
+        index = grid_indices(shape, start, min(start + BLOCK_SIZE, n))
+        size = len(index[0])
         table = dict.fromkeys(columns, [""] * size)
         table["family"] = [family] * size
+        for name, i in zip(axes, index):
+            if name in labels:
+                table[name] = labels[name][i].tolist()
         if family == "A":
-            index = grid_indices(shape, start, stop)
-            for name, i in zip(("alpha", "beta", "gamma"), index):
-                if name in labels:
-                    table[name] = labels[name][i].tolist()
             if "region" in wanted:
-                table["region"] = regions[region_points(region_ax, *index)].tolist()
+                table["region"] = REGION_LABELS[region_points(region_ax, *index)].tolist()
             pair = index[0] * len(be) + index[1]
             for name, spectrum_labels in spectra.items():
                 table[name] = spectrum_labels[pair].tolist()
-            if kernel:
-                d = decide(family_a_point_kets(ket_axes, *index))
-        else:
-            thetas = axes["theta"][start:stop]
-            if "theta" in wanted:
-                table["theta"] = list(map(_fmt, thetas))
-            if kernel:
-                d = decide(theta_kets(thetas))
         if kernel:
+            d = decide(family_a_point_kets(ket_axes, *index) if family == "A"
+                       else theta_kets(thetas[index[0]]))
             floats = {**{f"c{k + 1}": d.concurrences[:, k] for k in range(4)},
                       **{f"min_pt_{i}{j}": d.min_pt[:, q] for q, (i, j) in enumerate(PAIRS)}}
             for name in wanted.intersection(floats):
@@ -295,7 +289,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_encode(args) -> int:
     basis, _ = _basis_from_args(args)
-    print(share_set_to_json(encode_2bit(args.message, basis), basis))
+    with warnings.catch_warnings():
+        # the share set carries the warning, printed below without a source line
+        warnings.filterwarnings("ignore", re.escape(WEAK_BASIS_WARNING), UserWarning)
+        share = encode_2bit(args.message, basis)
+    if share.security_warning:
+        print(f"warning: {share.security_warning}", file=sys.stderr)
+    print(share_set_to_json(share, basis))
     return 0
 
 

@@ -68,31 +68,23 @@ def _entries(values, layout: list, leaves: list) -> None:
             _other(v, layout, leaves)
 
 
+# json's order of checks for a subclass, each with the base value json writes
+_BASES = ((str, str.__str__), (int, int.__int__), (float, float.__float__),
+          ((list, tuple), list), (dict, lambda d: dict(d.items())))
+
+
 def _other(o, layout: list, leaves: list) -> None:
-    """`_entries` for a subclass, a complex array or an error, in json's
-    order of checks."""
-    if isinstance(o, str):
-        layout.append(_LEAF)
-        leaves.append(_escape(o))
-    elif isinstance(o, int):
-        layout.append(_LEAF)
-        leaves.append(int.__repr__(o))
-    elif isinstance(o, float):
-        layout.append(_LEAF)
-        leaves.append(_float(o))
-    elif isinstance(o, (list, tuple)):
-        layout.append(len(o))
-        _entries(o, layout, leaves)
-    elif isinstance(o, dict):
-        layout.append(_keys(o))
-        _entries(o.values(), layout, leaves)
-    elif type(o) is np.ndarray and o.dtype == complex:
+    """`_entries` for a complex array, a subclass or an error."""
+    if type(o) is np.ndarray and o.dtype == complex:
         layout.append((None, o.shape))
         values = o.ravel().view(float).tolist()
         # a sum of finite floats is finite unless it overflows
         leaves += values if math.isfinite(sum(values)) else map(_float, values)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return
+    for kind, base in _BASES:
+        if isinstance(o, kind):
+            return _entries((base(o),), layout, leaves)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _float(x) -> str:
@@ -187,7 +179,9 @@ def items(doc: dict, key: str, kind, path: str = "", length: int | None = None) 
     """``doc[key]`` as a list of ``length`` entries (any number if None), each
     an instance of ``kind``."""
     where = _join(path, key)
-    value = _list(field(doc, key, list, path), length, where)
+    value = field(doc, key, list, path)
+    if length is not None and len(value) != length:
+        raise ValueError(f"{where}: expected {length} entries, got {len(value)}")
     for n, x in enumerate(value):
         if not _is(x, kind):
             _check(x, kind, f"{where}[{n}]")
@@ -259,9 +253,3 @@ def _check(value, kind, where: str):
         raise ValueError(f"{where}: expected {' or '.join(k.__name__ for k in kinds)}")
     return value
 
-
-def _list(value, length: int | None, where: str) -> list:
-    _check(value, list, where)
-    if length is not None and len(value) != length:
-        raise ValueError(f"{where}: expected {length} entries, got {len(value)}")
-    return value

@@ -68,20 +68,18 @@ def concurrence(k: BipartiteKet) -> float:
 def product_decomposition(k: BipartiteKet) -> ProductDecomposition:
     """Split a ket over the first party's computational outcomes.
 
-    The state is product exactly when the two conditional branches point in
-    the same direction (or one branch vanishes).
+    The state is product when the two conditional branches point in the
+    same direction (or one branch vanishes); ``is_product`` is the
+    classification kernel's verdict: concurrence < CONCURRENCE_ZERO_TOL.
     """
     c = k.amplitudes.reshape(2, 2)
     n0 = float(np.linalg.norm(c[0]))
     n1 = float(np.linalg.norm(c[1]))
     eta0 = normalize(c[0]) if n0 > 1e-12 else np.array([1.0, 0.0], dtype=complex)
     eta1 = normalize(c[1]) if n1 > 1e-12 else np.array([1.0, 0.0], dtype=complex)
-    if n0 < CONCURRENCE_ZERO_TOL or n1 < CONCURRENCE_ZERO_TOL:
-        overlap = 1.0
-        is_product = True
-    else:
-        overlap = float(abs(np.vdot(eta0, eta1)))
-        is_product = overlap > 1.0 - CONCURRENCE_ZERO_TOL
+    vanishes = n0 < CONCURRENCE_ZERO_TOL or n1 < CONCURRENCE_ZERO_TOL
+    overlap = 1.0 if vanishes else float(abs(np.vdot(eta0, eta1)))
+    is_product = concurrence(k) < CONCURRENCE_ZERO_TOL
     eta0.setflags(write=False)
     eta1.setflags(write=False)
     return ProductDecomposition(eta0, eta1, n0, n1, is_product, overlap)

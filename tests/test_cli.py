@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qlocc import protocol_from_json
 from qlocc.cli import build_parser, main
 from qlocc.protocols import LeafTable
+from qlocc.secretshare import WEAK_BASIS_WARNING
 
 PI_4_TEXT = "0.78539816339744831"
 DATA = Path(__file__).resolve().parent / "data"
@@ -398,3 +400,17 @@ def test_golden_inputs_cover_the_verdicts_they_pin():
     assert docs["encode_weak.shares.json"]["security_warning"] is not None
     assert docs["strong_pair_pass.shares.json"]["security"] == "PASS"
     assert docs["strong_pair_fail.shares.json"]["security"] == "FAIL"
+
+
+def test_encode_prints_one_warning_line_per_weak_basis(capsys, monkeypatch):
+    # no UserWarning escapes: uncaught, it prints the source path and line of
+    # its caller, and only on its first occurrence in a process
+    monkeypatch.chdir(DATA)
+    weak = ["secret-share", "encode", "--basis-file", "weak.basis.json", "--message", "1"]
+    strong = ["secret-share", "encode", "--basis-file", "three_copy.basis.json", "--message", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv, err in [(weak, f"warning: {WEAK_BASIS_WARNING}\n")] * 2 + [(strong, "")]:
+            assert main(argv) == 0
+            assert capsys.readouterr().err == err
+    assert caught == []

@@ -5,8 +5,10 @@ import contextlib
 import copy
 import io
 import json
+import enum
 import math
 import warnings
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -310,6 +312,71 @@ def test_dump_writes_complex_array_as_re_im_lists(a, transpose):
     a = a.T if transpose else a
     pairs = np.stack([a.real, a.imag], axis=-1).tolist()
     assert codec.dump({"x": [a, 1], "y": a}) == json.dumps({"x": [pairs, 1], "y": pairs}, indent=2)
+
+
+class _Str(str):
+    def __str__(self):
+        return "str"
+
+    def __repr__(self):
+        return "repr"
+
+
+class _Int(int):
+    def __int__(self):
+        return 7
+
+    def __repr__(self):
+        return "repr"
+
+    def __index__(self):
+        return 9
+
+
+class _Float(float):
+    def __float__(self):
+        return 2.5
+
+    def __repr__(self):
+        return "repr"
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+class _Scale(float, enum.Enum):
+    HALF = 0.5
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _ReversedDict(dict):
+    def items(self):  # json writes what items() gives
+        return list(super().items())[::-1]
+
+
+_Point = namedtuple("_Point", "x y")
+
+# subclasses of json's value types, which json writes as their base values
+SUBCLASS_VALUES = [
+    _Str('a"\u00e9'), _Int(-12), _Int(2 ** 70), _Float(0.1), _Float(math.nan),
+    _Float(-math.inf), _Colour.RED, _Scale.HALF, OrderedDict([("b", 1), ("a", [2])]),
+    _Point(_Int(1), [_Float(3.0)]), _List([_Str("x"), _Dict(k=_Colour.RED)]),
+    _Dict(z=_List([]), y=OrderedDict()), _ReversedDict(a=1, b=_ReversedDict(c=2, d=3)),
+]
+
+
+@pytest.mark.parametrize("value", SUBCLASS_VALUES, ids=lambda v: type(v).__name__)
+def test_dump_writes_subclasses_as_json_does(value):
+    for doc in (value, [value], [1, [value, value]], {"k": value}, {"a": [{"b": value}]}):
+        assert codec.dump(doc) == json.dumps(doc, indent=2)
 
 
 def _nested(depth):

@@ -68,6 +68,14 @@ def test_concurrence_zero_iff_product_flag(rng):
         assert product_decomposition(b[idx]).is_product
 
 
+@pytest.mark.parametrize("d", [4e-5, 1e-5, 1e-7, 1e-9, 5e-10, 2e-9])
+def test_product_flag_is_the_kernel_verdict_near_product(d):
+    # (|0>|0> + |1>(cos d|0> + sin d|1>))/sqrt(2), of concurrence sin d: its
+    # branches overlap by cos d, which passes 1 - 1e-9 long before sin d < 1e-9
+    k = BipartiteKet(np.array([1.0, 0.0, math.cos(d), math.sin(d)]) / math.sqrt(2))
+    assert product_decomposition(k).is_product == (concurrence(k) < 1e-9)
+
+
 # --- product decomposition ----------------------------------------------------
 
 def test_product_decomposition_branch_norms():

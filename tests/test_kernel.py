@@ -209,6 +209,26 @@ def test_decide_verdicts_are_invariant_under_local_unitaries(rng):
         assert changed.tolist() == [], name
 
 
+def test_decide_verdicts_are_invariant_under_party_swap_conjugation_and_relabelling():
+    # the locally rotated family-A grid of the pool supplies SEP elimination
+    cases = differential_inputs(np.random.default_rng(20261018), haar=200, low=200)
+    kets = np.array([b.matrix() for b, _ in cases])
+    perms = np.random.default_rng(5).permuted(np.tile(np.arange(4), (len(kets), 1)), axis=1)
+    variants = {
+        "party swap": canonical_kets(kets[..., [0, 2, 1, 3]])[0],
+        "conjugation": canonical_kets(kets.conj())[0],
+        "relabelling": np.take_along_axis(kets, perms[..., None], axis=1),
+    }
+    before = decide(kets)
+    assert {LOCC_KINDS[k] for k in before.locc_kind} == set(LOCC_KINDS)
+    assert {SEP_KINDS[k] for k in before.sep_kind} == set(SEP_KINDS)
+    for variant, moved in variants.items():
+        after = decide(moved)
+        for name in ("locc_kind", "sep_kind", "entangled_count"):
+            changed = np.flatnonzero(getattr(before, name) != getattr(after, name))
+            assert changed.tolist() == [], (variant, name)
+
+
 def near_threshold_kets(rng, n: int, eps, rotations: int) -> np.ndarray:
     """Ket rows of n low-entanglement bases, each rotated `rotations` times
     by exp(i eps H) for every eps, with H a fresh random Hermitian matrix:

@@ -86,6 +86,20 @@ def test_column_subset_bytes_equal_whole_grid_path(name):
     assert _stdout(COLUMN_SUBSETS[name]) == reference_scan_text(COLUMN_SUBSETS[name])
 
 
+# the theta family is a one-axis grid: one point, degrees, and columns without theta
+THETA_GRIDS = {
+    "one_point": ["scan", "--family", "theta", "--theta", "0.4"],
+    "degrees": ["scan", "--family", "theta", "--theta", f"0:90:{BLOCK_SIZE + 5}", "--degrees"],
+    "no_theta_column": ["scan", "--family", "theta", "--theta", _edges(BLOCK_SIZE + 1),
+                        "--columns", "min_copies_locc,c2,family,entangled_count,gamma"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_GRIDS))
+def test_theta_scan_bytes_equal_whole_grid_path(name):
+    assert _stdout(THETA_GRIDS[name]) == reference_scan_text(THETA_GRIDS[name])
+
+
 def test_scan_without_kernel_columns_never_runs_the_kernel(monkeypatch):
     def refuse(kets):
         raise AssertionError("decide called")
