@@ -57,8 +57,7 @@ _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)  # complex
 
 LOCC_KINDS = ("one_copy", "two_copy_elimination", "two_copy_pair_split", "three_copy")
 SEP_KINDS = ("all_product", "pair_split", "elimination", "none")
-_LOCC_COPIES = np.array([1, 2, 2, 3])
-_SEP_COPIES = np.array([1, 2, 2, 3])
+_COPIES = np.array([1, 2, 2, 3])  # indexed by LOCC_KINDS and by SEP_KINDS
 
 ASSUMPTION_LOCC_ELIMINATION = (
     "a conclusive 1-vs-3 elimination on the first copy is taken to be "
@@ -90,7 +89,7 @@ class LoccCategory:
 
     @property
     def min_copies(self) -> int:
-        return int(_LOCC_COPIES[LOCC_KINDS.index(self.kind)])
+        return int(_COPIES[LOCC_KINDS.index(self.kind)])
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,11 @@ class Decisions:
 
     @property
     def min_copies_locc(self) -> np.ndarray:
-        return _LOCC_COPIES[self.locc_kind]
+        return _COPIES[self.locc_kind]
 
     @property
     def min_copies_sep(self) -> np.ndarray:
-        return _SEP_COPIES[self.sep_kind]
+        return _COPIES[self.sep_kind]
 
 
 def _first(ok: np.ndarray) -> np.ndarray:

@@ -12,9 +12,7 @@ import contextlib
 import functools
 import math
 import os
-import re
 import sys
-import warnings
 from collections.abc import Iterator
 
 import numpy as np
@@ -42,7 +40,6 @@ from .protocols import (
     sample_runs,
 )
 from .secretshare import (
-    WEAK_BASIS_WARNING,
     decode_full_collaboration,
     encode_2bit,
     share_set_from_json,
@@ -289,10 +286,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_encode(args) -> int:
     basis, _ = _basis_from_args(args)
-    with warnings.catch_warnings():
-        # the share set carries the warning, printed below without a source line
-        warnings.filterwarnings("ignore", re.escape(WEAK_BASIS_WARNING), UserWarning)
-        share = encode_2bit(args.message, basis)
+    share = encode_2bit(args.message, basis)
     if share.security_warning:
         print(f"warning: {share.security_warning}", file=sys.stderr)
     print(share_set_to_json(share, basis))

@@ -209,18 +209,18 @@ class _Malformed(Exception):
         self.message, self.path = message, list(path)
 
 
-def _check_pairs(value, dims: tuple[int, ...]) -> None:
-    """Raise _Malformed at the first entry, depth first, that keeps ``value``
-    from being nested lists of ``dims`` holding [re, im] pairs of finite
-    numbers."""
-    if not isinstance(value, list):
-        raise _Malformed("expected list")
+def _check_pairs(value: list, dims: tuple[int, ...]) -> None:
+    """Raise _Malformed at the first entry, depth first, that keeps the list
+    ``value`` from being nested lists of ``dims`` holding [re, im] pairs of
+    finite numbers."""
     if len(value) != dims[0]:
         raise _Malformed(f"expected {dims[0]} entries, got {len(value)}")
     if len(dims) > 1:
         inner = dims[1:]
         for n, x in enumerate(value):
             try:
+                if not isinstance(x, list):
+                    raise _Malformed("expected list")
                 _check_pairs(x, inner)
             except _Malformed as bad:
                 bad.path.append(n)

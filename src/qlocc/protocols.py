@@ -29,7 +29,7 @@ import numpy as np
 
 from . import codec
 from .linalg import as_complex_vector, cmul, libm, vector_norms
-from .states import BipartiteKet, OrthonormalBasis, complement_pair, theta_basis
+from .states import BipartiteKet, OrthonormalBasis, complement_pair, gram, theta_basis
 
 ORTHILITY_ATOL = 1e-10
 ORTHONORMAL_ATOL = 1e-10  # a measurement basis's Gram matrix may miss the identity by this
@@ -388,8 +388,7 @@ def _built(shape, copies: int, bases: np.ndarray, swap: np.ndarray) -> ProtocolT
 def _check_orthonormal(bases: np.ndarray) -> None:
     """`LocalMeasurement`'s orthonormality check on every basis of a stack
     (M, 2, 2) at once; written so NaN fails."""
-    gram = bases.conj() @ bases.swapaxes(-1, -2)
-    if not (np.abs(gram - np.eye(2)) <= ORTHONORMAL_ATOL).all():
+    if not (np.abs(gram(bases) - np.eye(2)) <= ORTHONORMAL_ATOL).all():
         raise ValueError("measurement basis is not orthonormal")
 
 

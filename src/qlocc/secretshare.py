@@ -15,7 +15,6 @@ Two constructions:
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,14 @@ WEAK_BASIS_WARNING = (
 )
 
 
+def _message(value) -> int:
+    """A 2-bit message as an int: an integer in 0..3 (numpy integers too),
+    never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= 3:
+        raise ValueError(f"message must be in 0..3, got {value}")
+    return int(value)
+
+
 class IntegrityError(ValueError):
     """The three distributed copies are not identical, or not a basis state."""
 
@@ -56,8 +63,7 @@ class ShareSet:
     security_warning: str | None = None
 
     def __post_init__(self):
-        if not 0 <= self.message <= 3:
-            raise ValueError(f"message must be in 0..3, got {self.message}")
+        object.__setattr__(self, "message", _message(self.message))
         if len(self.party_assignment) != 6 or len(set(self.party_assignment)) != 6:
             raise ValueError(f"party_assignment must be six distinct labels, "
                              f"got {list(self.party_assignment)}")
@@ -101,14 +107,10 @@ class StrongPairShares:
 def encode_2bit(message: int, b: OrthonormalBasis) -> ShareSet:
     """Encode a 2-bit message as three copies of the corresponding basis
     state.  A basis that is two-copy distinguishable still encodes, but the
-    share set carries a security warning."""
-    if not 0 <= int(message) <= 3:
-        raise ValueError(f"message must be in 0..3, got {message}")
-    message = int(message)
-    warning = None
-    if min_copies_adaptive_locc(b) < 3:
-        warning = WEAK_BASIS_WARNING
-        _warnings.warn(WEAK_BASIS_WARNING, stacklevel=2)
+    share set carries a security warning (its only report; no Python warning
+    is raised)."""
+    message = _message(message)
+    warning = WEAK_BASIS_WARNING if min_copies_adaptive_locc(b) < 3 else None
     state = b[message]
     return ShareSet(message=message, copies=(state, state, state),
                     security_warning=warning)

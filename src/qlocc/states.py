@@ -117,7 +117,7 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         if len(self.states) != 4:
-            raise ValueError("a basis needs exactly 4 states")
+            raise ValueError(f"expected 4 kets, got {len(self.states)}")
         object.__setattr__(self, "states", tuple(self.states))
         m = np.array([k.amplitudes for k in self.states])
         check_orthonormal(m)
@@ -172,10 +172,7 @@ def check_orthonormal(kets) -> None:
 
 def validate_basis(kets, label: str = "custom") -> OrthonormalBasis:
     """Build an OrthonormalBasis from four kets, or raise NotOrthonormalError."""
-    kets = tuple(kets)
-    if len(kets) != 4:
-        raise ValueError(f"expected 4 kets, got {len(kets)}")
-    return OrthonormalBasis(states=kets, label=label)
+    return OrthonormalBasis(states=tuple(kets), label=label)
 
 
 def kets_from_vectors(vectors) -> tuple[BipartiteKet, ...]:

@@ -3,9 +3,10 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qlocc import protocol_from_json
+from qlocc import cli, protocol_from_json
 from qlocc.cli import build_parser, main
 from qlocc.protocols import LeafTable
 from qlocc.secretshare import WEAK_BASIS_WARNING
@@ -381,7 +382,6 @@ def test_scan_output_file(capsys, tmp_path):
     assert len(text.strip().split("\n")) == 7
 
 
-@pytest.mark.filterwarnings("ignore:encoding basis is distinguishable:UserWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
 def test_report_and_shares_reproduce_golden_bytes(capsys, monkeypatch, name):
     monkeypatch.chdir(DATA)
@@ -414,3 +414,46 @@ def test_encode_prints_one_warning_line_per_weak_basis(capsys, monkeypatch):
             assert main(argv) == 0
             assert capsys.readouterr().err == err
     assert caught == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--family", "theta", "--theta", "0:1"], "range must be min:max:steps, got '0:1'"),
+    (["analyze", "--family", "A", "--alpha", "0.3", "--beta", "0.9"],
+     "family A needs --alpha, --beta and --gamma"),
+    (["analyze", "--family", "theta"], "family theta needs --theta"),
+    (["analyze"], "specify --family {A,theta} or --basis-file"),
+    (["scan"], "specify --family {A,theta}"),
+], ids=["two-part-range", "A-without-gamma", "theta-without-theta", "analyze-without-family",
+        "scan-without-family"])
+def test_usage_errors_exit_2_naming_the_fault(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_numerical_failure_exits_3(capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cli, "analyze", singular)
+    assert main(["analyze", "--family", "theta", "--theta", "0.4"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: singular matrix\n")
+
+
+def _probe():
+    warnings.warn("registry probe", UserWarning)
+
+
+def test_encode_leaves_the_warning_registry_alone(capsys, monkeypatch):
+    # a warning the default filter has shown once stays shown once in a
+    # process that encodes share sets between its occurrences
+    monkeypatch.chdir(DATA)
+    shown = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *rest: shown.append(str(message))
+        _probe()
+        _probe()
+        for name in ("three_copy.basis.json", "weak.basis.json"):
+            assert main(["secret-share", "encode", "--basis-file", name, "--message", "1"]) == 0
+        _probe()
+    assert shown == ["registry probe"]

@@ -107,8 +107,17 @@ OVERFLOWING_BASIS = [[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]  # its Gram mat
     (_eliminate_chain(MAX_PROTOCOL_DEPTH + 1), r"root\.child"),
     (json.dumps(_with(PROTOCOL_DOC, ("root", "basis"), OVERFLOWING_BASIS)),
      "measurement basis is not orthonormal"),
+    (json.dumps(_with(PROTOCOL_DOC, ("root", "children"),
+                      PROTOCOL_DOC["root"]["children"] + [{"kind": "conclude", "index": 0}])),
+     r"root\.children: expected 2 entries, got 3$"),
+    (json.dumps(_with(PROTOCOL_DOC, ("root",), {"kind": "conclude", "index": 4})),
+     "conclude index 4 out of range$"),
+    (json.dumps(_with(PROTOCOL_DOC, ("copies",), 0)), "a protocol needs at least one copy$"),
+    (json.dumps(_with(PROTOCOL_DOC, ("root", "kind"), "guess")),
+     r"root\.kind: unknown node kind 'guess'$"),
 ], ids=["number-basis", "string-root", "top-level-list", "5000-deep", "too-deep",
-        "overflowing-basis"])
+        "overflowing-basis", "three-children", "conclude-index-4", "zero-copies",
+        "unknown-kind"])
 def test_malformed_protocol_raises_value_error(text, prefix):
     with pytest.raises(ValueError, match=f"^{prefix}"):
         protocol_from_json(text)

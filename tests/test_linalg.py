@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlocc import BipartiteKet
 from qlocc.linalg import (
     canonical_phase,
     det2,
     hermitian_eigenvalues,
+    normalize,
     partial_transpose,
     tensor,
     vector_norms,
@@ -29,6 +31,15 @@ def test_tensor_uniform_superposition():
 def test_tensor_rejects_unnormalized():
     with pytest.raises(ValueError):
         tensor([math.sin(0.4), 0], [1, 0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BipartiteKet(np.array([np.nan, 1.0, 0.0, 0.0])), "vector contains NaN or Inf"),
+    (lambda: normalize(np.zeros(4)), "cannot normalize a zero vector"),
+], ids=["nan-amplitude", "zero-vector"])
+def test_vector_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_tensor_bilinear_on_unvalidated_path(rng):

@@ -496,6 +496,21 @@ def test_readers_reject_malformed_trees():
             outcome_distribution(tree, b[0].amplitudes)
 
 
+@pytest.mark.parametrize("root, message", [
+    (Measure(0, LocalMeasurement("A", (np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
+             (Conclude(0),)), "measure nodes need exactly two children"),
+    ("conclude 0", "unknown node type str"),
+], ids=["one-child", "not-a-node"])
+def test_malformed_hand_built_trees_name_the_fault(root, message):
+    with pytest.raises(MalformedProtocolError, match=f"^{message}$"):
+        validate_tree(ProtocolTree(copies=1, root=root))
+
+
+def test_sample_run_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        sample_run(bell_grouping_protocol(0.6), theta_basis(0.6), 0, -1)
+
+
 def test_unmeasured_copies_cost_nothing():
     # only measured copies enter the evaluation, however many the tree declares
     tree = protocol_from_json(

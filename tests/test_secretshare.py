@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from qlocc.cli import main
 from qlocc.entanglement import pair_projector, separability_certificate
 from qlocc.linalg import outer
 from qlocc.secretshare import (
+    WEAK_BASIS_WARNING,
     MixedShare,
     ShareSet,
     StrongPairShares,
@@ -52,9 +54,11 @@ def test_encode_produces_three_copies_of_selected_state():
 
 
 def test_encode_warns_on_two_copy_distinguishable_basis():
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
         s = encode_2bit(1, theta_basis(PI_4))
-    assert s.security_warning is not None
+    assert s.security_warning == WEAK_BASIS_WARNING
+    assert raised == []
 
 
 def test_encode_rejects_out_of_range_message():
@@ -73,8 +77,11 @@ def test_roundtrip_all_messages_strong_basis():
 def test_roundtrip_all_messages_bell_basis():
     b = theta_basis(PI_4)
     for m in range(4):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
             s = encode_2bit(m, b)
+        assert s.security_warning == WEAK_BASIS_WARNING
+        assert raised == []
         assert decode_full_collaboration(s, b) == m
 
 
@@ -288,3 +295,22 @@ def test_golden_share_sets_decode_to_their_message(tmp_path, name):
     code, out, err = _decode_file(tmp_path, json.loads((DATA / name).read_text(encoding="utf-8")))
     assert (code, err) == (0, "")
     assert json.loads(out)["matches_encoded"] is True
+
+
+@pytest.mark.parametrize("message", [2.5, 2.0, True, -0.5, 2.7])
+def test_a_message_that_is_not_an_integer_in_range_is_refused(message):
+    # a float or a bool is neither encoded as the integer it rounds to nor
+    # written to a shares.v1 that the reader refuses
+    rule = f"^{re.escape(f'message must be in 0..3, got {message}')}$"
+    with pytest.raises(ValueError, match=rule):
+        encode_2bit(message, strong_basis())
+    with pytest.raises(ValueError, match=rule):
+        ShareSet(message=message, copies=(strong_basis()[0],) * 3)
+
+
+def test_a_numpy_integer_message_round_trips_as_int():
+    b = strong_basis()
+    for s in (encode_2bit(np.int64(2), b), ShareSet(message=np.int64(2), copies=(b[2],) * 3)):
+        assert type(s.message) is int
+        again, _ = share_set_from_json(share_set_to_json(s, b))
+        assert again.message == 2

@@ -9,6 +9,7 @@ from qlocc import (
     BipartiteKet,
     FamilyParams,
     NotOrthonormalError,
+    OrthonormalBasis,
     a_basis,
     basis_from_json,
     basis_to_json,
@@ -138,6 +139,19 @@ def test_validate_basis_rejects_repeated_state():
         validate_basis([v00, v00, v01, v10])
     assert err.value.pair == (0, 1)
     assert err.value.deviation > 0.9
+
+
+THREE_KETS = tuple(BipartiteKet(np.eye(4)[k]) for k in range(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BipartiteKet.from_unnormalized(np.zeros(4)), "zero vector is not a state"),
+    (lambda: OrthonormalBasis(states=THREE_KETS), "expected 4 kets, got 3"),
+    (lambda: validate_basis(THREE_KETS), "expected 4 kets, got 3"),
+], ids=["zero-vector", "three-kets", "validate-three-kets"])
+def test_state_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_check_orthonormal_rejects_nan_amplitudes():
