@@ -32,6 +32,7 @@ from .entanglement import (
     SEPARABILITY_TOL,
     SeparabilityCertificate,
     certificate_to_dict,
+    certificates,
     concurrence,  # not called here; bench/tracing.py wraps it by name
     pair_min_pt_eigenvalues,
     pair_projector,  # not called here; bench/tracing.py wraps it by name
@@ -75,12 +76,16 @@ class DegenerateFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class LoccCategory:
-    """Outcome of the adaptive-LOCC case split.
+    """The route of a copy-count verdict: the adaptive-LOCC case split's
+    outcome, or how the separable-operations count was achieved.
 
-    kind is one of 'one_copy', 'two_copy_elimination', 'two_copy_pair_split',
-    'three_copy'. For elimination, ``eliminated`` is the state singled out on
-    the first copy; for a pair split, ``pair`` is the two-state group (its
-    complement group is the other two states).
+    kind is one of LOCC_KINDS or of SEP_KINDS. For an elimination,
+    ``eliminated`` is the state singled out on the first copy; for a pair
+    split, ``pair`` is the two-state group (its complement group is the other
+    two states).  Every two-copy LOCC verdict also has a SEP witness: a LOCC
+    elimination means exactly two entangled states, the other two are
+    orthogonal product states whose orthocomplement is spanned by product
+    states, so that basis has a separable pair split.
     """
 
     kind: str
@@ -89,7 +94,11 @@ class LoccCategory:
 
     @property
     def min_copies(self) -> int:
-        return int(_COPIES[LOCC_KINDS.index(self.kind)])
+        kinds = LOCC_KINDS if self.kind in LOCC_KINDS else SEP_KINDS
+        return int(_COPIES[kinds.index(self.kind)])
+
+
+SepWitness = LoccCategory  # the SEP verdict's route: the same type
 
 
 @dataclass(frozen=True)
@@ -110,22 +119,6 @@ REGIONS = (Region("R_I"), Region("R_II"), Region("R_III"), Region("R_IV"),
 
 
 @dataclass(frozen=True)
-class SepWitness:
-    """How the separable-operations copy count was achieved.
-
-    kind: 'all_product' | 'pair_split' | 'elimination' | 'none'.  Every
-    two-copy LOCC verdict also has a SEP witness: a LOCC elimination means
-    exactly two entangled states, the other two are orthogonal product
-    states whose orthocomplement is spanned by product states, so that basis
-    has a separable pair split.
-    """
-
-    kind: str
-    eliminated: int | None = None
-    pair: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     label: str
     concurrences: tuple[float, float, float, float]
@@ -133,7 +126,7 @@ class ClassificationReport:
     locc_category: LoccCategory
     min_copies_locc: int
     min_copies_sep: int
-    sep_witness: SepWitness
+    sep_witness: LoccCategory
     certificates: tuple[tuple[tuple[int, int], SeparabilityCertificate], ...]
     region: Region | None = None
     params: FamilyParams | None = None
@@ -371,12 +364,17 @@ def region_points(axes, ia, ib, ig) -> np.ndarray:
     s2a, s2b, t = axes[0][ia], axes[1][ib], axes[2][ig]
     with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate cells
         g3, g4 = t - s2b / s2a, t - s2a / s2b  # gaps to state 3's and state 4's surface
+    return np.where(np.minimum(s2a, s2b) < 1e-12, -1, _region_index(g3, g4))
+
+
+def _region_index(g3, g4) -> np.ndarray:
+    """Index into REGIONS from the gaps of tan^2(gamma) to state 3's and
+    state 4's product surface (floats or arrays)."""
     on_a3 = np.abs(g3) < REGION_BOUNDARY_TOL
     on_a4 = np.abs(g4) < REGION_BOUNDARY_TOL
     off = np.where((g3 <= 0.0) & (0.0 <= g4), 0, np.where(
         (g4 <= 0.0) & (0.0 <= g3), 1, np.where(np.minimum(g3, g4) >= 0.0, 2, 3)))
-    index = np.where(on_a3, np.where(on_a4, 6, 4), np.where(on_a4, 5, off))
-    return np.where(np.minimum(s2a, s2b) < 1e-12, -1, index)
+    return np.where(on_a3, np.where(on_a4, 6, 4), np.where(on_a4, 5, off))
 
 
 def region_grid(alphas, betas, gammas) -> np.ndarray:
@@ -392,10 +390,7 @@ def region(p: FamilyParams) -> Region:
     Raises DegenerateFamilyError when alpha or beta sits at 0 or pi/2, where
     sin(2 alpha)/sin(2 beta) ratios degenerate.
     """
-    (index,) = region_grid([p.alpha], [p.beta], [p.gamma]).tolist()
-    if index < 0:
-        raise DegenerateFamilyError("region undefined for alpha or beta at 0 or pi/2")
-    return REGIONS[index]
+    return REGIONS[_region_index(*_surface_gaps(p))]
 
 
 def gamma_star(alpha: float, beta: float) -> float:
@@ -403,6 +398,14 @@ def gamma_star(alpha: float, beta: float) -> float:
     arctan(sqrt(sin 2 alpha / sin 2 beta))."""
     r_a4 = _surface_ratios(alpha, beta, "gamma_star undefined for degenerate angles")[1]
     return math.atan(math.sqrt(r_a4))
+
+
+def _route(kind: str, eliminated: int, split: int) -> LoccCategory:
+    """The route of a verdict kind: the eliminated state on an elimination,
+    SPLITS[split] on a pair split."""
+    return LoccCategory(kind,
+                        eliminated=eliminated if kind.endswith("elimination") else None,
+                        pair=SPLITS[split] if kind.endswith("split") else None)
 
 
 def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> ClassificationReport:
@@ -413,7 +416,7 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
     This is the one-basis view of `decide`: every verdict, witness,
     assumption and boundary warning reads that kernel's row.
     """
-    reg = region(p) if p is not None else None
+    gaps = _surface_gaps(p) if p is not None else ()
     d = _decide_basis(b)
     cons = d.concurrences[0].tolist()
     min_pt = d.min_pt[0].tolist()
@@ -429,12 +432,11 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
         for (i, j), m in zip(PAIRS, min_pt)
         if -NEAR_FACTOR * SEPARABILITY_TOL <= m <= -0.1 * SEPARABILITY_TOL
     ]
-    if p is not None:
-        warnings += [
-            f"tan^2(gamma) is within 10x of a region boundary (|t - r| = {abs(g):.3e})"
-            for g in _surface_gaps(p)
-            if REGION_BOUNDARY_TOL <= abs(g) < NEAR_FACTOR * REGION_BOUNDARY_TOL
-        ]
+    warnings += [
+        f"tan^2(gamma) is within 10x of a region boundary (|t - r| = {abs(g):.3e})"
+        for g in gaps
+        if REGION_BOUNDARY_TOL <= abs(g) < NEAR_FACTOR * REGION_BOUNDARY_TOL
+    ]
     warnings += [
         f"concurrence-sum residual {r:.3e} for elimination of "
         f"state {l} is within 10x of tolerance"
@@ -442,23 +444,12 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
         if tried and DUAN_SUM_TOL <= abs(r) < NEAR_FACTOR * DUAN_SUM_TOL
     ]
 
-    kind, split = LOCC_KINDS[d.locc_kind[0]], int(d.split[0])
-    cat = LoccCategory(
-        kind,
-        eliminated=int(d.eliminated[0]) if kind == "two_copy_elimination" else None,
-        pair=SPLITS[split] if kind == "two_copy_pair_split" else None,
-    )
-    sep_kind = SEP_KINDS[d.sep_kind[0]]
-    sep_wit = SepWitness(
-        sep_kind,
-        eliminated=int(d.sep_eliminated[0]) if sep_kind == "elimination" else None,
-        pair=SPLITS[split] if sep_kind == "pair_split" else None,
-    )
-    assumptions = []
-    if kind == "two_copy_elimination":
-        assumptions.append(ASSUMPTION_LOCC_ELIMINATION)
-    if sep_kind == "elimination":
-        assumptions.append(ASSUMPTION_SEP_ELIMINATION)
+    split = int(d.split[0])
+    cat = _route(LOCC_KINDS[d.locc_kind[0]], int(d.eliminated[0]), split)
+    sep_wit = _route(SEP_KINDS[d.sep_kind[0]], int(d.sep_eliminated[0]), split)
+    assumptions = tuple(text for route, text in ((cat, ASSUMPTION_LOCC_ELIMINATION),
+                                                 (sep_wit, ASSUMPTION_SEP_ELIMINATION))
+                        if route.eliminated is not None)
 
     return ClassificationReport(
         label=b.label,
@@ -466,21 +457,19 @@ def analyze(b: OrthonormalBasis, p: FamilyParams | None = None) -> Classificatio
         entangled_count=int(d.entangled_count[0]),
         locc_category=cat,
         min_copies_locc=cat.min_copies,
-        min_copies_sep=int(d.min_copies_sep[0]),
+        min_copies_sep=sep_wit.min_copies,
         sep_witness=sep_wit,
-        certificates=tuple(
-            (pair, SeparabilityCertificate(m, m >= -SEPARABILITY_TOL))
-            for pair, m in zip(PAIRS, min_pt)),
-        region=reg,
+        certificates=tuple(zip(PAIRS, certificates(min_pt))),
+        region=REGIONS[_region_index(*gaps)] if gaps else None,
         params=p,
-        assumptions=tuple(assumptions),
+        assumptions=assumptions,
         boundary_warnings=tuple(warnings),
     )
 
 
 # --- report.v1 serialization -------------------------------------------------
 
-def _route_to_dict(route: LoccCategory | SepWitness) -> dict:
+def _route_to_dict(route: LoccCategory) -> dict:
     """A LOCC category or SEP witness: its kind, then eliminated_index and pair where set."""
     doc: dict = {"kind": route.kind}
     if route.eliminated is not None:

@@ -157,6 +157,11 @@ def pair_projector(b: OrthonormalBasis, i: int, j: int, complement: bool = False
     return np.eye(4, dtype=complex) - p if complement else p
 
 
+def certificates(min_pt) -> list[SeparabilityCertificate]:
+    """The PPT certificate of each minimum partial-transpose eigenvalue (floats)."""
+    return [SeparabilityCertificate(m, m >= -SEPARABILITY_TOL) for m in min_pt]
+
+
 def separability_certificates(ops) -> list[SeparabilityCertificate]:
     """PPT certificate for each Hermitian PSD operator in a stack (N, 4, 4),
     from one `hermitian_eigenvalues` over the operators and their partial
@@ -169,9 +174,7 @@ def separability_certificates(ops) -> list[SeparabilityCertificate]:
     lows = hermitian_eigenvalues(np.concatenate([ops, partial_transpose(ops)]))[:, 0].tolist()
     if any(low < -PSD_ATOL for low in lows[:len(ops)]):
         raise ValueError("operator is not positive semidefinite")
-    return [SeparabilityCertificate(min_pt_eigenvalue=min_pt,
-                                    is_separable=min_pt >= -SEPARABILITY_TOL)
-            for min_pt in lows[len(ops):]]
+    return certificates(lows[len(ops):])
 
 
 def separability_certificate(m) -> SeparabilityCertificate:

@@ -406,10 +406,9 @@ def _pair_shape(measurement, swap) -> Node:
 def walgate_pair_protocol(psi: BipartiteKet, phi: BipartiteKet) -> ProtocolTree:
     """Single-copy protocol distinguishing two orthogonal states with
     certainty; concludes index 0 for the first state, 1 for the second."""
-    if abs(psi.overlap(phi)) > ORTHILITY_ATOL:
-        raise NotOrthogonalError(
-            f"states overlap by {abs(psi.overlap(phi)):.3e}"
-        )
+    overlap = abs(psi.overlap(phi))
+    if overlap > ORTHILITY_ATOL:
+        raise NotOrthogonalError(f"states overlap by {overlap:.3e}")
     return _built(_pair_shape, 1, *_solved(np.array([psi.amplitudes, phi.amplitudes]), [(0, 1)]))
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import codec
 from .classify import min_copies_adaptive_locc
-from .entanglement import (SeparabilityCertificate, certificate_to_dict, pair_projectors,
-                           separability_certificates)
+from .entanglement import (SeparabilityCertificate, certificate_to_dict, certificates,
+                           pair_min_pt_eigenvalues)
 from .linalg import hermitian_eigenvalues, outer
 from .protocols import tournament_leaves
 from .states import (BipartiteKet, OrthonormalBasis, basis_from_dict, basis_to_dict,
@@ -64,6 +64,8 @@ class ShareSet:
 
     def __post_init__(self):
         object.__setattr__(self, "message", _message(self.message))
+        if len(self.copies) != 3:
+            raise ValueError(f"copies must be three kets, got {len(self.copies)}")
         if len(self.party_assignment) != 6 or len(set(self.party_assignment)) != 6:
             raise ValueError(f"party_assignment must be six distinct labels, "
                              f"got {list(self.party_assignment)}")
@@ -80,7 +82,7 @@ class MixedShare:
 
     def __post_init__(self):
         for name in ("sigma", "sigma_perp"):
-            m = np.asarray(getattr(self, name), dtype=complex)
+            m = np.array(getattr(self, name), dtype=complex)  # a copy, frozen below
             if abs(np.trace(m).real - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not trace 1")
             if hermitian_eigenvalues(m)[0] < -1e-10:
@@ -148,8 +150,8 @@ def strong_pair_shares(
     sigma = lam * outer(b[i].amplitudes) + (1 - lam) * outer(b[j].amplitudes)
     sigma_perp = mu * outer(b[k].amplitudes) + (1 - mu) * outer(b[l].amplitudes)
     share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=lam, mu=mu)
-    cert_pair, cert_comp = separability_certificates(
-        pair_projectors(b.matrix(), [(i, j), (k, l)]))
+    cert_pair, cert_comp = certificates(
+        pair_min_pt_eigenvalues(b.matrix(), [(i, j), (k, l)]).tolist())
     return StrongPairShares(
         share=share,
         pair=(i, j),

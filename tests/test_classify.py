@@ -23,6 +23,8 @@ from qlocc import (
     theta_basis,
     validate_basis,
 )
+from qlocc.classify import (_COPIES, LOCC_KINDS, REGIONS, SEP_KINDS, LoccCategory, SepWitness,
+                            region_grid)
 from conftest import (haar_unitary, pt_oracle, random_basis, random_low_entanglement_basis,
                       spin_flip_concurrence)
 
@@ -122,6 +124,16 @@ def test_min_copies_sep_table():
     assert min_copies_adaptive_sep(theta_basis(PI_4)) == 2
 
 
+@pytest.mark.parametrize("kinds, kind, copies", [
+    *((LOCC_KINDS, k, n) for k, n in zip(LOCC_KINDS, (1, 2, 2, 3))),
+    *((SEP_KINDS, k, n) for k, n in zip(SEP_KINDS, (1, 2, 2, 3))),
+], ids=[*LOCC_KINDS, *SEP_KINDS])
+def test_route_copy_count_reads_the_table_of_its_kind(kinds, kind, copies):
+    # one route type for both verdicts: a SEP kind is looked up in SEP_KINDS
+    assert SepWitness is LoccCategory
+    assert LoccCategory(kind).min_copies == _COPIES[kinds.index(kind)] == copies
+
+
 # --- regions --------------------------------------------------------------------------
 
 def test_region_examples():
@@ -163,6 +175,36 @@ def test_region_single_boundary_labels():
     assert region(FamilyParams(alpha=al, beta=be, gamma=ga3)).which == "a3"
     ga4 = math.atan(math.sqrt(math.sin(2 * al) / math.sin(2 * be)))
     assert region(FamilyParams(alpha=al, beta=be, gamma=ga4)).which == "a4"
+
+
+def _region_gate_points():
+    """(alpha, beta, gammas) on a 9 x 9 grid of [0, pi/2]^2: a 9-point gamma
+    grid plus, off the degenerate edges, each product surface's gamma, one
+    ulp either side of it and 3e-9 either side of it."""
+    axis = np.linspace(0.0, math.pi / 2, 9).tolist()
+    for al, be in itertools.product(axis, axis):
+        gammas = list(axis)
+        s2a, s2b = math.sin(2 * al), math.sin(2 * be)
+        if min(s2a, s2b) >= 1e-12:
+            for r in (s2b / s2a, s2a / s2b):
+                g = math.atan(math.sqrt(r))
+                gammas += [g, math.nextafter(g, 0.0), math.nextafter(g, 2.0), g - 3e-9, g + 3e-9]
+        yield al, be, [min(max(g, 0.0), math.pi / 2) for g in gammas]
+
+
+def test_region_equals_the_grid_rule_on_and_beside_the_product_surfaces():
+    seen = set()
+    for al, be, gammas in _region_gate_points():
+        for g, index in zip(gammas, region_grid([al], [be], gammas).tolist()):
+            seen.add(index)
+            p = FamilyParams(alpha=al, beta=be, gamma=g)
+            if index < 0:
+                with pytest.raises(DegenerateFamilyError) as err:
+                    region(p)
+                assert str(err.value) == "region undefined for alpha or beta at 0 or pi/2"
+            else:
+                assert region(p) == REGIONS[index]
+    assert seen == set(range(-1, len(REGIONS)))
 
 
 # --- gamma_star --------------------------------------------------------------------------

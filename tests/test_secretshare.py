@@ -15,6 +15,7 @@ from qlocc import (
     basis_from_json,
     IntegrityError,
     a_basis,
+    analyze,
     decode_full_collaboration,
     encode_2bit,
     hermitian_eigenvalues,
@@ -23,7 +24,9 @@ from qlocc import (
     validate_basis,
 )
 from qlocc.cli import main
-from qlocc.entanglement import pair_projector, separability_certificate
+from qlocc.classify import PAIRS
+from qlocc.entanglement import (pair_projector, pair_projectors, separability_certificate,
+                                separability_certificates)
 from qlocc.linalg import outer
 from qlocc.secretshare import (
     WEAK_BASIS_WARNING,
@@ -204,6 +207,50 @@ def test_strong_pair_one_solve_equals_six_separate_solves_on_bench_bases():
                 assert strong_pair_to_json(out) == strong_pair_to_json(
                     _strong_pair_six_solves(b, i, j, lam, mu))
                 assert type(out.certificate_pair.is_separable) is bool
+
+
+def _bits(c):
+    """A certificate with its minimum as bytes: == treats -0.0 as 0.0."""
+    return np.float64(c.min_pt_eigenvalue).tobytes(), c.is_separable, c.tolerance
+
+
+def test_strong_pair_certificates_equal_the_projector_path_and_analyze_on_bench_bases():
+    # strong-pair reads the minima analyze's report.v1 certificates come from;
+    # both equal the certificates of the explicit pair projectors, bit for bit
+    workloads = bench_workloads()
+    rng = np.random.default_rng(20261020)
+    verdicts = set()
+    for n in range(4 * len(workloads.BASIS_KINDS)):
+        kind = workloads.BASIS_KINDS[n % len(workloads.BASIS_KINDS)]
+        b = basis_from_json(workloads.basis_json(workloads.random_basis(kind, rng), kind))
+        reported = dict(analyze(b).certificates)
+        for i, j in PAIRS:
+            out = strong_pair_shares(b, i, j, 0.5, 0.5)
+            certs = (out.certificate_pair, out.certificate_complement)
+            projectors = pair_projectors(b.matrix(), [(i, j), out.complement])
+            projected = separability_certificates(projectors)
+            assert [_bits(c) for c in certs] == [_bits(c) for c in projected]
+            assert [_bits(c) for c in certs] == [_bits(reported[(i, j)]),
+                                                 _bits(reported[out.complement])]
+            verdicts.update(c.is_separable for c in certs)
+    assert verdicts == {False, True}
+
+
+def test_mixed_share_copies_the_callers_arrays():
+    sigma, sigma_perp = _diag(0.5, 0.5, 0, 0), _diag(0, 0, 0.5, 0.5)
+    share = MixedShare(sigma=sigma, sigma_perp=sigma_perp, lam=0.5, mu=0.5)
+    assert sigma.flags.writeable and sigma_perp.flags.writeable
+    sigma[0, 0] = sigma_perp[2, 2] = 1.0
+    assert share.sigma[0, 0] == share.sigma_perp[2, 2] == 0.5
+    assert not share.sigma.flags.writeable
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_a_share_set_holds_three_copies(count):
+    state = strong_basis()[0]
+    with pytest.raises(ValueError) as err:
+        ShareSet(message=0, copies=(state,) * count)
+    assert str(err.value) == f"copies must be three kets, got {count}"
 
 
 def _diag(*values):
