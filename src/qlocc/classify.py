@@ -34,13 +34,13 @@ from .entanglement import (
     certificate_to_dict,
     certificates,
     concurrence,  # not called here; bench/tracing.py wraps it by name
+    determinants,
     pair_min_pt_eigenvalues,
     pair_projector,  # not called here; bench/tracing.py wraps it by name
     separability_certificate,  # not called here; bench/tracing.py wraps it by name
 )
-from .linalg import det2
 from .states import (BipartiteKet, FamilyParams, OrthonormalBasis, check_orthonormal,
-                     coefficient_matrices, complement_pair, grid_indices)
+                     complement_pair, grid_indices)
 from .states import coefficient_matrix  # noqa: F401  re-exported: tests import it from here
 
 ANTIPARALLEL_IM_TOL = 1e-8
@@ -263,9 +263,7 @@ def _decide_basis(b: OrthonormalBasis) -> Decisions:
 
 def _decide_checked(kets: np.ndarray) -> Decisions:
     """`decide` of at most BLOCK_SIZE bases already known to be orthonormal."""
-    mats = coefficient_matrices(kets)
-    dets = det2(mats)
-    cons = np.hypot(dets.real, dets.imag)  # concurrences(kets), bit for bit
+    mats, dets, cons = determinants(kets)
     # no PSD check is needed: each projector is K^dagger K for two kets that
     # just passed the Gram check, so its nonzero spectrum is that of a 2x2
     # Gram block within GRAM_ATOL of the identity
@@ -320,9 +318,8 @@ def duan_three_state_sep(states, complement: BipartiteKet) -> bool:
     kets = (*states, complement)
     if len(kets) != 4:
         raise ValueError("expected exactly 3 states")
-    mats = coefficient_matrices(np.array([k.amplitudes for k in kets]))[None]
-    dets = det2(mats)
-    ok, _ = _duan(np.hypot(dets.real, dets.imag), mats, dets)
+    mats, dets, cons = determinants(np.array([k.amplitudes for k in kets])[None])
+    ok, _ = _duan(cons, mats, dets)
     return bool(ok[0, 3])
 
 

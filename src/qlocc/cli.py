@@ -41,6 +41,7 @@ from .protocols import (
 )
 from .secretshare import (
     decode_full_collaboration,
+    decode_result_to_json,
     encode_2bit,
     share_set_from_json,
     share_set_to_json,
@@ -296,13 +297,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     with open(args.shares_file, "r", encoding="utf-8") as fh:
         share, basis = share_set_from_json(fh.read())
-    decoded = decode_full_collaboration(share, basis)
-    print(codec.dump({
-        "schema": "shares.v1",
-        "kind": "decode_result",
-        "decoded_message": decoded,
-        "matches_encoded": decoded == share.message,
-    }))
+    print(decode_result_to_json(share, decode_full_collaboration(share, basis)))
     return 0
 
 
@@ -383,7 +378,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import det2_parts, hermitian_eigenvalues, normalize, partial_transpose
+from .linalg import det2, hermitian_eigenvalues, normalize, outer, partial_transpose
 from .states import BipartiteKet, OrthonormalBasis, coefficient_matrices
 
 CONCURRENCE_ZERO_TOL = 1e-9
@@ -53,10 +53,18 @@ class ProductDecomposition:
     overlap: float  # |<eta0|eta1>|; 1 when the branches coincide
 
 
+def determinants(kets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient matrix M (..., 2, 2) of each amplitude vector in a
+    stack (..., 4), its determinant det M and its concurrence |det M|."""
+    mats = coefficient_matrices(kets)
+    dets = det2(mats)
+    return mats, dets, np.hypot(dets.real, dets.imag)  # abs() of det2, bit for bit
+
+
 def concurrences(kets) -> np.ndarray:
     """|det M| of the coefficient matrix of each amplitude vector in a stack
     (..., 4)."""
-    return np.hypot(*det2_parts(coefficient_matrices(kets)))  # abs() of det2, bit for bit
+    return determinants(kets)[2]
 
 
 def concurrence(k: BipartiteKet) -> float:
@@ -125,9 +133,7 @@ def pair_min_pt_eigenvalues(kets, pairs) -> np.ndarray:
 def _pair_sums(kets, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """|k_i><k_i| + |k_j><k_j| laid out by ``entries``, indices into the
     flattened outer products of a stack of ket rows (..., 4, 4)."""
-    kets = np.asarray(kets, dtype=complex)
-    outer = kets[..., :, None] * kets.conj()[..., None, :]  # |k><k| per ket
-    flat = outer.reshape(*kets.shape[:-2], 64)
+    flat = outer(kets).reshape(*np.shape(kets)[:-2], 64)  # |k><k| per ket
     p = np.take(flat, entries[0], axis=-1)
     p += np.take(flat, entries[1], axis=-1)
     return p

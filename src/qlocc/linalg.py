@@ -61,9 +61,9 @@ def tensor(a, b, *, validate: bool = True) -> np.ndarray:
 
 
 def outer(v) -> np.ndarray:
-    """Projector |v><v|."""
+    """Projector |v><v| (or of each vector in a stack, along the last axis)."""
     v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 @np.errstate(over="ignore")
@@ -141,22 +141,14 @@ def canonical_phase(v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def det2(m):
-    """Determinant of a 2x2 matrix (or of each in a stack (..., 2, 2)).
-
-    Written with `cmul`, so a stack gives each matrix the bits of a call on
-    that matrix alone.
+    """Determinant of a 2x2 matrix (or of each in a stack (..., 2, 2)):
+    a d - b c with both products taken by `cmul` at once, so a stack gives
+    each matrix the bits of a call on that matrix alone.
     """
-    re, im = det2_parts(m)
-    return (re + 1j * im)[()]
-
-
-def det2_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of `det2`, before they are combined:
-    a d - b c with both products taken by `cmul` at once."""
     m = np.asarray(m, dtype=complex)
     left, right = m[..., 0, :], m[..., 1, ::-1]  # (a, b) against (d, c)
     re, im = cmul(left.real, left.imag, right.real, right.imag)
-    return re[..., 0] - re[..., 1], im[..., 0] - im[..., 1]
+    return ((re[..., 0] - re[..., 1]) + 1j * (im[..., 0] - im[..., 1]))[()]
 
 
 def orthogonal_complement_qubit(u) -> np.ndarray:

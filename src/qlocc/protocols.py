@@ -227,6 +227,8 @@ def _table(conclusions: np.ndarray, transcripts: tuple, index: np.ndarray,
     """The leaf table applying ``index``'s projectors, built from ``bases``
     (M, 2, 2): projector 2 m + 1 + o is |v><v| for v = bases[m, o]."""
     v = bases.reshape(-1, 2)
+    # not linalg.outer: einsum's products differ from its broadcast ones in
+    # the last bit, and they reach the exact success probability `simulate` prints
     proj = np.concatenate([np.eye(2, dtype=complex)[None], np.einsum("ki,kj->kij", v, v.conj())])
     effects = np.einsum("lcij,lckm->lcikjm", proj[index[..., 0]], proj[index[..., 1]])
     effects = effects.reshape(index.shape[:2] + (4, 4))
@@ -590,6 +592,9 @@ def _node_to_dict(node: Node) -> dict:
 
 
 def protocol_to_json(t: ProtocolTree) -> str:
+    """The protocol.v1 document of ``t``; raises MalformedProtocolError, as
+    `protocol_from_json` would on reading it back, when ``t`` is malformed."""
+    validate_tree(t)
     doc = {"schema": "protocol.v1", "copies": t.copies, "root": _node_to_dict(t.root)}
     return codec.dump(doc)
 

@@ -195,6 +195,12 @@ def share_set_from_json(text: str):
     return share, basis_from_dict(codec.field(doc, "basis", dict), path="basis")
 
 
+def decode_result_to_json(s: ShareSet, decoded: int) -> str:
+    """The decode_result document: ``decoded`` and whether it is ``s``'s message."""
+    return codec.dump({"schema": "shares.v1", "kind": "decode_result",
+                       "decoded_message": decoded, "matches_encoded": decoded == s.message})
+
+
 def strong_pair_to_json(s: StrongPairShares) -> str:
     doc = {
         "schema": "shares.v1",

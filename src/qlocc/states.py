@@ -183,11 +183,6 @@ def kets_from_vectors(vectors) -> tuple[BipartiteKet, ...]:
     return tuple(BipartiteKet._canonical(k, p) for k, p in zip(kets, phases))
 
 
-def basis_from_vectors(vectors, label: str) -> OrthonormalBasis:
-    """The basis of four amplitude vectors (rows of a 4x4 array)."""
-    return validate_basis(kets_from_vectors(vectors), label)
-
-
 def complement_pair(i: int, j: int) -> tuple[int, int]:
     """The two state indices other than i and j, ascending."""
     rest = sorted(set(range(4)) - {i, j})
@@ -235,8 +230,8 @@ def theta_basis(theta: float) -> OrthonormalBasis:
     """The one-angle family; all four states are entangled for
     theta not in {0, pi/2} and theta = pi/4 gives the Bell basis."""
     theta = check_angle("theta", theta)
-    return basis_from_vectors(_theta_rows(math.sin(theta), math.cos(theta)),
-                              f"theta[{theta:.6g}]")
+    return OrthonormalBasis(kets_from_vectors(_theta_rows(math.sin(theta), math.cos(theta))),
+                            f"theta[{theta:.6g}]")
 
 
 def a_basis(p: FamilyParams) -> OrthonormalBasis:
@@ -244,8 +239,8 @@ def a_basis(p: FamilyParams) -> OrthonormalBasis:
     docstring for the explicit states."""
     rows = _family_a_rows(math.sin(p.alpha), math.cos(p.alpha), math.sin(p.beta),
                           math.cos(p.beta), math.sin(p.gamma), math.cos(p.gamma))
-    return basis_from_vectors(
-        rows, f"A[alpha={p.alpha:.6g},beta={p.beta:.6g},gamma={p.gamma:.6g}]")
+    return OrthonormalBasis(
+        kets_from_vectors(rows), f"A[alpha={p.alpha:.6g},beta={p.beta:.6g},gamma={p.gamma:.6g}]")
 
 
 def theta_kets(thetas) -> np.ndarray:
@@ -312,7 +307,7 @@ def basis_from_dict(doc, path: str = "") -> OrthonormalBasis:
     doc = codec.envelope(doc, "basis.v1", path=path)
     states = codec.complex_array(doc, "states", (4, 4), path)
     label = codec.field(doc, "label", str, path, default="from-file")
-    return basis_from_vectors(states, label)
+    return OrthonormalBasis(kets_from_vectors(states), label)
 
 
 def basis_to_json(b: OrthonormalBasis) -> str:

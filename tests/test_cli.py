@@ -29,6 +29,10 @@ GOLDEN_OUTPUTS = {
         "--i", "0", "--j", "2", "--lambda", "0.3", "--mu", "0.7"],
     "strong_pair_fail.shares.json": [
         "secret-share", "strong-pair", "--basis-file", "weak.basis.json", "--i", "0", "--j", "1"],
+    "decode_three_copy.shares.json": [
+        "secret-share", "decode", "--shares-file", "encode_three_copy.shares.json"],
+    "decode_weak.shares.json": [
+        "secret-share", "decode", "--shares-file", "encode_weak.shares.json"],
 }
 
 
@@ -437,6 +441,17 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "analyze", singular)
     assert main(["analyze", "--family", "theta", "--theta", "0.4"]) == 3
     assert capsys.readouterr() == ("", "numerical failure: singular matrix\n")
+
+
+def test_a_key_error_is_not_reported_as_a_usage_error(capsys, monkeypatch):
+    # no boundary raises KeyError, so one is a fault of the program
+    def buggy(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "analyze", buggy)
+    with pytest.raises(KeyError):
+        main(["analyze", "--family", "theta", "--theta", "0.4"])
+    assert capsys.readouterr() == ("", "")
 
 
 def _probe():

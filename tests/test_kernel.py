@@ -28,11 +28,11 @@ from qlocc.classify import (_COUNT, _ELIMINATED, _LOCC_KIND, _SEP_KIND, _SPLIT, 
                             SepWitness, decide)
 from qlocc import entanglement
 from qlocc.cli import main
-from qlocc.entanglement import (PSD_ATOL, SEPARABILITY_TOL, pair_projector, pair_projectors,
-                                separability_certificate)
+from qlocc.entanglement import (PSD_ATOL, SEPARABILITY_TOL, concurrences, determinants,
+                                pair_projector, pair_projectors, separability_certificate)
 from qlocc.states import canonical_kets, family_a_kets, theta_kets
-from conftest import (haar_unitary, random_basis, random_low_entanglement_basis,
-                      reference_analyze, reference_decide)
+from conftest import (_ref_concurrences, haar_unitary, random_basis,
+                      random_low_entanglement_basis, reference_analyze, reference_decide)
 
 PI_4 = math.pi / 4
 PI_6 = math.pi / 6
@@ -141,6 +141,19 @@ def test_decide_equals_reference_kernel_bit_for_bit(rng):
         alone, expected = decide(kets[n][None]), reference_decide(kets[n][None])
         for f in fields(Decisions):
             assert getattr(alone, f.name).tobytes() == getattr(expected, f.name).tobytes()
+
+
+def test_concurrences_equal_reference_bit_for_bit(rng):
+    # entanglement.determinants is the one |det M| rule: `concurrences`, the
+    # kernel and the SEP elimination test all read it
+    cases = differential_inputs(rng, haar=50, low=50)
+    kets = np.concatenate([[b.matrix() for b, _ in cases],
+                           near_threshold_kets(rng, 100, [1e-9, 3e-9], rotations=1)])
+    expected = _ref_concurrences(kets)
+    assert concurrences(kets).tobytes() == expected.tobytes()
+    assert determinants(kets)[2].tobytes() == expected.tobytes()
+    rows = kets.reshape(-1, 4)[::7]
+    assert np.array([concurrences(k) for k in rows]).tobytes() == expected.ravel()[::7].tobytes()
 
 
 def test_case_split_tables_equal_the_array_rule():

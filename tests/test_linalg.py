@@ -11,6 +11,7 @@ from qlocc.linalg import (
     det2,
     hermitian_eigenvalues,
     normalize,
+    outer,
     partial_transpose,
     tensor,
     vector_norms,
@@ -155,6 +156,18 @@ def test_vector_norms_match_np_linalg_norm_bit_for_bit(dim):
     expected = np.array([np.linalg.norm(x) for x in v])
     assert vector_norms(v).tobytes() == expected.tobytes()
     assert vector_norms(v.reshape(100, 200, dim)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_outer_matches_np_outer_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    # a stack small enough that a flattening np.outer(v, v.conj()) stays small
+    v = rng.standard_normal((500, dim)) + 1j * rng.standard_normal((500, dim))
+    v *= 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+    expected = np.array([np.outer(x, x.conj()) for x in v])
+    assert all(outer(x).tobytes() == e.tobytes() for x, e in zip(v, expected))
+    assert outer(v).tobytes() == expected.tobytes()
+    assert outer(v.reshape(20, 25, dim)).tobytes() == expected.tobytes()
 
 
 def test_canonical_phase_first_significant_real_positive(rng):

@@ -25,12 +25,14 @@ from qlocc import (
     validate_basis,
     walgate_pair_protocol,
 )
+from qlocc import codec
 from qlocc.protocols import (
     ORTHILITY_ATOL,
     Conclude,
     Measure,
     ProtocolTree,
     RunOutcome,
+    _node_to_dict,
     _seeded_uniform,
     outcome_distribution,
     seeded_uniforms,
@@ -504,6 +506,26 @@ def test_readers_reject_malformed_trees():
 def test_malformed_hand_built_trees_name_the_fault(root, message):
     with pytest.raises(MalformedProtocolError, match=f"^{message}$"):
         validate_tree(ProtocolTree(copies=1, root=root))
+
+
+@pytest.mark.parametrize("copies, root, message", [
+    (1, Measure(0, LocalMeasurement("A", np.eye(2)), (Conclude(7), Conclude(1))),
+     "conclude index 7 out of range"),
+    (0, Conclude(0), "a protocol needs at least one copy"),
+    (1, Measure(0, LocalMeasurement("A", np.eye(2)),
+                (Measure(0, LocalMeasurement("A", np.eye(2)), (Conclude(0), Conclude(1))),
+                 Conclude(1))),
+     "party A measures copy 0 twice on one path"),
+    (1, Measure(3, LocalMeasurement("B", np.eye(2)), (Conclude(0), Conclude(1))),
+     "copy index 3 outside the 1 available copies"),
+], ids=["conclude-7", "no-copies", "copy-measured-twice", "copy-3-of-1"])
+def test_writer_refuses_what_the_reader_refuses(copies, root, message):
+    # the document as the writer would have written it, without its check
+    text = codec.dump({"schema": "protocol.v1", "copies": copies, "root": _node_to_dict(root)})
+    with pytest.raises(MalformedProtocolError, match=f"^{message}$"):
+        protocol_from_json(text)
+    with pytest.raises(MalformedProtocolError, match=f"^{message}$"):
+        protocol_to_json(ProtocolTree(copies=copies, root=root))
 
 
 def test_sample_run_rejects_a_negative_seed():
